@@ -30,6 +30,7 @@ from .returns import (
     DegenerateSeriesError,
     GridSpec,
     PriceDataError,
+    capped_grid,
     empirical_ccdf,
     log_returns,
     normalize,
@@ -48,11 +49,6 @@ EXIT_NUMERICAL = 3
 # Largest half-range of log prices the synthetic walk may span before the
 # increments are rescaled to keep exp() inside float64.
 _MAX_LOG_PRICE_HALF_RANGE = 600.0
-
-# Unless --grid-max is given, fitting grids stop where fewer than this many
-# observations exceed the threshold; beyond that the empirical curve is
-# order-statistic noise that would distort the log-space least squares.
-_MIN_TAIL_EXCEEDANCES = 100
 
 
 class UsageError(Exception):
@@ -130,11 +126,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         ladder = tuple(int(part) for part in str(dt).split(",") if part != "")
     except ValueError as exc:
         raise UsageError(f"--dt expects a comma-separated integer list: {exc}") from exc
-    grid = GridSpec(
-        min=pick(getattr(args, "grid_min", None), "grid-min", 1e-2, float),
-        max=pick(getattr(args, "grid_max", None), "grid-max", None, float),
-        count=pick(getattr(args, "grid_count", None), "grid-count", 60, int),
-    )
+    grid_min = pick(getattr(args, "grid_min", None), "grid-min", 1e-2, float)
+    grid_max = pick(getattr(args, "grid_max", None), "grid-max", None, float)
+    grid_count = pick(getattr(args, "grid_count", None), "grid-count", 60, int)
+    try:
+        grid = GridSpec(min=grid_min, max=grid_max, count=grid_count)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return RunConfig(
         inputs=tuple(inputs or ()),
         dt_ladder=ladder,
@@ -192,6 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_out_dir(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {out}: {exc}") from exc
+
+
 def _write_rows(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -237,21 +242,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
     fits: list[ScaleFitResult] = []
     curves = []
     for dt in config.dt_ladder:
-        normalized = [normalize(log_returns(s, dt)) for s in series]
-        pooled = pool(normalized)
-        grid = config.grid
-        if grid.max is None and len(pooled) > 10 * _MIN_TAIL_EXCEEDANCES:
-            cap = float(np.sort(np.abs(pooled.values))[-_MIN_TAIL_EXCEEDANCES])
-            if cap > grid.min:
-                grid = GridSpec(min=grid.min, max=cap, count=grid.count)
-        ccdf = empirical_ccdf(pooled, grid)
+        pooled = pool([normalize(log_returns(s, dt)) for s in series])
+        ccdf = empirical_ccdf(pooled, capped_grid(pooled.values, config.grid))
         fit = fit_qgaussian_ccdf(ccdf)
         if not fit.converged:
             print(f"warning: fit at dt={dt} did not converge", file=sys.stderr)
         fits.append(fit)
         curves.append((dt, ccdf, fit))
 
-    config.out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(config.out)
     scale_fits_to_csv(fits, config.out / "table.csv")
     scale_fits_to_json(fits, config.out / "fits.json")
     for dt, ccdf, fit in curves:
@@ -271,13 +270,13 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         raise PriceDataError(f"fits file not found: {fits_path}")
     try:
         fits = load_scale_fits(fits_path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise PriceDataError(f"cannot parse fits file {fits_path}: {exc}") from exc
     if len(fits) < 3:
         raise PriceDataError(f"scaling needs at least 3 fits, got {len(fits)}")
 
     report = scaling_report(fits)
-    config.out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(config.out)
 
     def fit_dict(p):
         return {
@@ -324,7 +323,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    config.out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(config.out)
     _write_rows(
         config.out / "table1.csv",
         ["dt", "q", "beta"],
@@ -361,7 +360,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         log_price -= 0.5 * (log_price.max() + log_price.min())
     prices = 100.0 * np.exp(log_price)
 
-    config.out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(config.out)
     _write_rows(
         config.out / "synth.csv",
         ["timestamp", "price"],
@@ -383,7 +382,7 @@ def cmd_pdfplot(args: argparse.Namespace) -> int:
     ccdf = read_ccdf_csv(ccdf_path)
     xs, numeric = numerical_pdf(ccdf)
     model = 2.0 * pdf(params, xs)  # folded density of |r|
-    config.out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(config.out)
     _write_rows(
         config.out / "pdfplot.csv",
         ["x", "pdf_numeric", "pdf_model"],

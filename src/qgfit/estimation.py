@@ -287,6 +287,8 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
     path = Path(path)
     if path.suffix.lower() == ".json":
         rows = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+            raise ValueError(f"{path}: expected a JSON list of objects with dt, q and beta")
         return [
             ScaleFitResult(
                 dt=int(r["dt"]),

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "NormalizedReturns",
     "EmpiricalCCDF",
     "GridSpec",
+    "capped_grid",
     "log_returns",
     "normalize",
     "pool",
@@ -38,6 +40,11 @@ __all__ = [
 # Normalized returns must be centered and scaled to this accuracy.
 _NORMALIZATION_TOL = 1e-12
 
+# Unless the grid maximum is given, fitting grids stop where fewer than this
+# many observations exceed the threshold; beyond that the empirical curve is
+# order-statistic noise that would distort the log-space least squares.
+MIN_TAIL_EXCEEDANCES = 100
+
 
 class DegenerateSeriesError(ValueError):
     """Raised when a return series has zero variance and cannot be normalized."""
@@ -49,11 +56,15 @@ class PriceDataError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """Raw instrument values W(t) on a strictly increasing integer tick grid."""
+    """Raw instrument values W(t) on a strictly increasing integer tick grid.
+
+    `log_values` holds ln W(t), taken once here for every dt that follows.
+    """
 
     id: str
     timestamps: np.ndarray
     values: np.ndarray
+    log_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.int64))
@@ -64,8 +75,11 @@ class PriceSeries:
             raise ValueError("price series needs at least 2 samples")
         if not np.all(np.diff(self.timestamps) > 0):
             raise ValueError("timestamps must be strictly increasing")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("prices must be finite")
         if not np.all(self.values > 0.0):
             raise ValueError("prices must be positive (log returns are taken)")
+        object.__setattr__(self, "log_values", np.log(self.values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -168,11 +182,14 @@ def log_returns(series: PriceSeries, dt: int) -> ReturnSeries:
     if dt >= len(series):
         raise ValueError(f"dt={dt} must be smaller than the series length {len(series)}")
     ts = series.timestamps
+    logw = series.log_values
+    if ts[-1] - ts[0] == len(ts) - 1:
+        # strictly increasing and no gaps: the pair of tick i is tick i + dt
+        return ReturnSeries(dt=dt, values=logw[dt:] - logw[:-dt])
     target = ts + dt
     idx = np.searchsorted(ts, target)
     ok = idx < len(ts)
     ok[ok] &= ts[idx[ok]] == target[ok]
-    logw = np.log(series.values)
     return ReturnSeries(dt=dt, values=logw[idx[ok]] - logw[ok])
 
 
@@ -188,9 +205,11 @@ def normalize(returns: ReturnSeries) -> NormalizedReturns:
     vol = float(np.std(values))
     if vol == 0.0:
         raise DegenerateSeriesError("returns have zero variance; cannot normalize")
+    scaled = values - mean
+    scaled /= vol
     return NormalizedReturns(
         dt=returns.dt,
-        values=(values - mean) / vol,
+        values=scaled,
         mean_removed=mean,
         volatility=vol,
         span=len(values),
@@ -213,6 +232,23 @@ def pool(batches: list[NormalizedReturns]) -> NormalizedReturns:
     return normalize(ReturnSeries(dt=batches[0].dt, values=combined))
 
 
+def capped_grid(values: np.ndarray, grid: GridSpec = GridSpec()) -> GridSpec:
+    """`grid` with its maximum set where MIN_TAIL_EXCEEDANCES values of |values| remain.
+
+    A grid with an explicit maximum, a sample of at most ten times that many
+    values, or a cap not above the grid minimum is returned unchanged.
+    """
+    n = len(values)
+    if grid.max is not None or n <= 10 * MIN_TAIL_EXCEEDANCES:
+        return grid
+    absr = np.abs(values)
+    absr.partition(n - MIN_TAIL_EXCEEDANCES)
+    cap = float(absr[n - MIN_TAIL_EXCEEDANCES])
+    if cap <= grid.min:
+        return grid
+    return GridSpec(min=grid.min, max=cap, count=grid.count)
+
+
 def empirical_ccdf(returns: NormalizedReturns, grid: GridSpec = GridSpec()) -> EmpiricalCCDF:
     """Exceedance probabilities of |r| on a log-spaced threshold grid.
 
@@ -226,7 +262,8 @@ def empirical_ccdf(returns: NormalizedReturns, grid: GridSpec = GridSpec()) -> E
 
 def ccdf_of_samples(values: np.ndarray, dt: int, grid: GridSpec = GridSpec()) -> EmpiricalCCDF:
     """Exceedance curve of |values| on the grid; works on raw draws too."""
-    absr = np.sort(np.abs(np.asarray(values, dtype=float)))
+    absr = np.abs(np.asarray(values, dtype=float))
+    absr.sort()
     n = len(absr)
     if n == 0:
         raise ValueError("cannot build a CCDF from an empty sample")
@@ -264,29 +301,39 @@ def numerical_pdf(ccdf: EmpiricalCCDF) -> tuple[np.ndarray, np.ndarray]:
 
 
 def read_price_csv(path: str | Path) -> PriceSeries:
-    """Parse an instrument CSV with header columns `timestamp` and `price`."""
+    """Parse an instrument CSV with header columns `timestamp` and `price`.
+
+    The header is read as CSV, so the two columns may come in any order and
+    other columns are ignored; blank lines are skipped.
+    """
     path = Path(path)
-    timestamps: list[int] = []
-    prices: list[float] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"timestamp", "price"} <= set(
-                reader.fieldnames
-            ):
+            header = next(csv.reader(fh), None)
+            if header is None or not {"timestamp", "price"} <= set(header):
                 raise PriceDataError(
                     f"{path}: expected header with 'timestamp' and 'price' columns, "
-                    f"got {reader.fieldnames}"
+                    f"got {header}"
                 )
-            for row in reader:
-                timestamps.append(int(row["timestamp"]))
-                prices.append(float(row["price"]))
-    except (ValueError, TypeError) as exc:
+            column = {name: i for i, name in enumerate(header)}  # last duplicate wins
+            with warnings.catch_warnings():
+                # a header-only file is rejected below as too short
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(
+                    fh,
+                    dtype=[("timestamp", np.int64), ("price", np.float64)],
+                    delimiter=",",
+                    quotechar='"',
+                    comments=None,
+                    usecols=(column["timestamp"], column["price"]),
+                    ndmin=1,
+                )
+    except ValueError as exc:
         if isinstance(exc, PriceDataError):
             raise
         raise PriceDataError(f"{path}: malformed row ({exc})") from exc
     try:
-        return PriceSeries(id=path.stem, timestamps=timestamps, values=prices)
+        return PriceSeries(id=path.stem, timestamps=rows["timestamp"], values=rows["price"])
     except ValueError as exc:
         raise PriceDataError(f"{path}: {exc}") from exc
 

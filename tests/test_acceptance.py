@@ -20,17 +20,11 @@ from qgfit.estimation import (
     scaling_report,
 )
 from qgfit.qgaussian import QGaussianParams, ccdf_abs, pdf, sample, tail_to_q
-from qgfit.returns import EmpiricalCCDF, GridSpec, ccdf_of_samples
+from qgfit.returns import EmpiricalCCDF, capped_grid, ccdf_of_samples
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} criterion {number}: {detail}")
-
-
-def _capped_grid(values: np.ndarray, keep: int = 100, count: int = 60) -> GridSpec:
-    """Threshold grid stopping where fewer than `keep` observations exceed."""
-    top = float(np.sort(np.abs(values))[-keep])
-    return GridSpec(min=1e-2, max=top, count=count)
 
 
 def test_criterion_1_bundled_scaling_exponents(tmp_path):
@@ -131,7 +125,7 @@ def test_criterion_6_synthetic_round_trip():
     worst_q = worst_beta = 0.0
     for seed in range(5):
         draws = sample(QGaussianParams(1.5, 1.5), 10**6, seed=seed)
-        ccdf = ccdf_of_samples(draws, dt=1, grid=_capped_grid(draws))
+        ccdf = ccdf_of_samples(draws, dt=1, grid=capped_grid(draws))
         fit = fit_qgaussian_ccdf(ccdf)
         worst_q = max(worst_q, abs(fit.q - 1.5))
         worst_beta = max(worst_beta, abs(fit.beta - 1.5))
@@ -180,7 +174,7 @@ def test_criterion_8_full_pipeline_property():
             for c in range(n_companies)
         ]
         pooled = np.concatenate(parts)
-        ccdf = ccdf_of_samples(pooled, dt=dt, grid=_capped_grid(pooled))
+        ccdf = ccdf_of_samples(pooled, dt=dt, grid=capped_grid(pooled))
         fits.append(fit_qgaussian_ccdf(ccdf))
 
     qs = [f.q for f in fits]

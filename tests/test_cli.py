@@ -1,13 +1,17 @@
-"""End-to-end tests of the command-line interface via subprocess."""
+"""End-to-end tests of the command-line interface, via subprocess and `cli.main`."""
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qgfit
+from qgfit import cli
 from qgfit.qgaussian import QGaussianParams, ccdf_abs
 from qgfit.returns import EmpiricalCCDF, write_ccdf_csv
 
@@ -16,11 +20,15 @@ TABLE1_LAST = "780,1.35,1.03"
 
 
 def run_cli(*argv, cwd=None):
+    # The child imports the same qgfit as this process, installed or not.
+    package_root = str(Path(qgfit.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "qgfit.cli", *map(str, argv)],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
 
 
@@ -288,3 +296,46 @@ class TestUsage:
         payload = json.loads((out / "ccdf_dt2.json").read_text())
         assert payload["dt"] == 2
         assert len(payload["ccdf_fitted"]) == len(payload["x"])
+
+
+def write_walk(path, n=2000, bad=None):
+    """A random-walk price CSV; `bad` replaces the price at tick n // 2."""
+    rng = np.random.default_rng(8)
+    prices = [f"{p:.17g}" for p in 100.0 * np.exp(np.cumsum(1e-2 * rng.standard_normal(n)))]
+    if bad is not None:
+        prices[n // 2] = bad
+    path.write_text(
+        "timestamp,price\n" + "".join(f"{t},{p}\n" for t, p in enumerate(prices)),
+        encoding="utf-8",
+    )
+    return path
+
+
+class TestBadInputExitCodes:
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_nonfinite_price_is_data_error(self, tmp_path, capsys, bad):
+        path = write_walk(tmp_path / "walk.csv", bad=bad)
+        out = tmp_path / "o"
+        assert cli.main(["fit", "--input", str(path), "--dt", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "prices must be finite" in err
+        assert str(path) in err
+        assert not out.exists()
+
+    def test_fits_json_object_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "obj.json"
+        path.write_text('{"dt": 4, "q": 1.5, "beta": 1.7}\n', encoding="utf-8")
+        assert cli.main(["scaling", "--fits", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_negative_grid_min_is_usage_error(self, tmp_path, capsys):
+        path = write_walk(tmp_path / "walk.csv")
+        argv = ["fit", "--input", str(path), "--grid-min", "-1", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 1
+        assert "grid minimum must be positive" in capsys.readouterr().err
+
+    def test_out_under_regular_file_is_usage_error(self, tmp_path, capsys):
+        path = write_walk(tmp_path / "walk.csv")
+        out = tmp_path / "walk.csv" / "o"
+        assert cli.main(["fit", "--input", str(path), "--dt", "1", "--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err

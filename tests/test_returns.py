@@ -1,5 +1,6 @@
 """Tests for the returns pipeline: log returns, normalization, CCDFs."""
 
+import csv
 import json
 import math
 
@@ -67,6 +68,23 @@ class TestLogReturns:
     def test_rejects_nonpositive_prices(self):
         with pytest.raises(ValueError):
             series_from_values([1.0, -2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_prices(self, bad):
+        with pytest.raises(ValueError, match="prices must be finite"):
+            series_from_values([1.0, bad, 3.0])
+
+    def test_contiguous_matches_searchsorted_gather(self):
+        rng = np.random.default_rng(3)
+        w = 100.0 * np.exp(np.cumsum(1e-2 * rng.standard_normal(5000)))
+        s = PriceSeries(id="w", timestamps=np.arange(7, 5007), values=w)
+        ts, logw = s.timestamps, np.log(w)
+        for dt in (1, 4, 390, 4999):
+            # the pair lookup used for gapped series, applied to every series
+            idx = np.searchsorted(ts, ts + dt)
+            ok = idx < len(ts)
+            ok[ok] &= ts[idx[ok]] == ts[ok] + dt
+            assert np.array_equal(log_returns(s, dt).values, logw[idx[ok]] - logw[ok])
 
 
 class TestNormalize:
@@ -234,7 +252,53 @@ class TestEndToEnd:
             assert abs(emp - model) <= band
 
 
+def dictreader_prices(path):
+    """Reference parse: one csv.DictReader row at a time, Python int and float."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    timestamps = np.array([int(r["timestamp"]) for r in rows], dtype=np.int64)
+    prices = np.array([float(r["price"]) for r in rows], dtype=float)
+    return timestamps, prices
+
+
+def _walk_csv():
+    rng = np.random.default_rng(11)
+    prices = 100.0 * np.exp(np.cumsum(3e-3 * rng.standard_t(3.0, 2000)))
+    return "timestamp,price\n" + "".join(f"{t},{p:.17g}\n" for t, p in enumerate(prices.tolist()))
+
+
+PRICE_CSV_CASES = {
+    "crlf": "timestamp,price\r\n0,100.5\r\n1,101.25\r\n2,99.0\r\n",
+    "reordered_extra_column": "price,volume,timestamp\n100.5,7,0\n101.25,3,1\n99,1,2\n",
+    "quoted": '"timestamp","price"\n0,"100.5"\n"1",101.25\n2,99\n',
+    "trailing_blank_line": "timestamp,price\n0,100.5\n1,101.25\n\n",
+    "random_walk_17_digits": _walk_csv(),
+}
+
+
 class TestIO:
+    @pytest.mark.parametrize("case", sorted(PRICE_CSV_CASES))
+    def test_price_csv_matches_dictreader(self, tmp_path, case):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(PRICE_CSV_CASES[case].encode("utf-8"))
+        series = read_price_csv(path)
+        timestamps, prices = dictreader_prices(path)
+        assert series.timestamps.dtype == np.int64
+        assert np.array_equal(series.timestamps, timestamps)
+        assert np.array_equal(series.values, prices)
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("timestamp,price\n", encoding="utf-8")
+        with pytest.raises(PriceDataError, match="at least 2 samples"):
+            read_price_csv(path)
+
+    def test_short_row(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("timestamp,price\n0,1.0\n1\n", encoding="utf-8")
+        with pytest.raises(PriceDataError, match="malformed row"):
+            read_price_csv(path)
+
     def test_price_csv_round_trip(self, tmp_path):
         path = tmp_path / "acme.csv"
         path.write_text("timestamp,price\n0,100.0\n1,101.5\n2,99.75\n", encoding="utf-8")
