@@ -322,9 +322,14 @@ class TestBadInputExitCodes:
         assert str(path) in err
         assert not out.exists()
 
-    def test_fits_json_object_is_data_error(self, tmp_path, capsys):
-        path = tmp_path / "obj.json"
-        path.write_text('{"dt": 4, "q": 1.5, "beta": 1.7}\n', encoding="utf-8")
+    @pytest.mark.parametrize(
+        "text",
+        ['{"dt": 4, "q": 1.5, "beta": 1.7}', "[4, 8, 16]", '[{"dt": 4, "q": null, "beta": 1.7}]'],
+        ids=["object", "list_of_numbers", "null_q"],
+    )
+    def test_fits_json_wrong_shape_is_data_error(self, tmp_path, capsys, text):
+        path = tmp_path / "fits.json"
+        path.write_text(text + "\n", encoding="utf-8")
         assert cli.main(["scaling", "--fits", str(path), "--out", str(tmp_path / "o")]) == 2
         assert str(path) in capsys.readouterr().err
 
