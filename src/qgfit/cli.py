@@ -205,8 +205,7 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
 
 
 def _write_fit_curve(config: RunConfig, dt: int, ccdf, fitted: ScaleFitResult) -> None:
-    params = QGaussianParams(fitted.q, fitted.beta)
-    model = [ccdf_abs(params, float(x)) for x in ccdf.thresholds]
+    model = ccdf_abs(QGaussianParams(fitted.q, fitted.beta), ccdf.thresholds).tolist()
     if config.format == "json":
         payload = {
             "id": "pooled",

@@ -132,7 +132,9 @@ def fit_qgaussian_ccdf(
 
     Minimizes the sum of squared log10 residuals over the threshold grid
     with a Nelder-Mead simplex in transformed coordinates (the logit map
-    keeps q and beta inside their boxes).  The search restarts once from a
+    keeps q and beta inside their boxes).  Each candidate (q, beta) costs one
+    `ccdf_abs` call on the whole grid, so the model and its normalization
+    are evaluated once per candidate, not once per grid point.  The search restarts once from a
     perturbed optimum; the converged flag reports the winning run's status.
     Non-convergence is reported through the flag, not raised.
     """
@@ -142,15 +144,16 @@ def fit_qgaussian_ccdf(
         raise ValueError("all CCDF probabilities must be positive")
 
     xs = ccdf.thresholds
-    target = np.log10(ccdf.probabilities)
+    target = np.log10(ccdf.probabilities).tolist()
 
     def objective(u: np.ndarray) -> float:
-        q, beta = _from_unbounded(u)
-        params = QGaussianParams(q, beta)
+        # One model call per candidate, so A(q, beta) is computed once; the
+        # residuals are summed in grid order, as a Python loop, so every fit
+        # keeps its exact floating-point path.
+        model = ccdf_abs(QGaussianParams(*_from_unbounded(u)), xs)
         total = 0.0
-        for x, t in zip(xs, target):
-            model = max(ccdf_abs(params, float(x)), _LOG_FLOOR)
-            diff = math.log10(model) - t
+        for m, t in zip(model.tolist(), target):
+            diff = math.log10(max(m, _LOG_FLOOR)) - t
             total += diff * diff
         return total
 

@@ -141,7 +141,7 @@ def ccdf_abs(params: QGaussianParams, x):
     q, beta, b = params.q, params.beta, params.b_exponent
     amp = normalization(params)
     if isinstance(x, np.ndarray):
-        return np.array([_ccdf_abs_scalar(q, beta, b, amp, float(v)) for v in x])
+        return np.array([_ccdf_abs_scalar(q, beta, b, amp, v) for v in x.tolist()])
     return _ccdf_abs_scalar(q, beta, b, amp, float(x))
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qgfit import estimation, qgaussian
 from qgfit.datasets import TABLE1_ROWS, table1_fits
 from qgfit.estimation import (
     InsufficientTailPointsError,
@@ -70,6 +71,27 @@ class TestFitQGaussianCcdf:
         assert fit.dt == 4
         assert fit.q == pytest.approx(1.53, abs=0.02)
         assert fit.beta == pytest.approx(1.78, abs=0.10)
+
+    def test_one_normalization_per_model_call(self, monkeypatch):
+        ccdf = model_ccdf(1.53, 1.78)
+        counts = {"model": 0, "points": 0, "normalization": 0}
+        model, norm = estimation.ccdf_abs, qgaussian.normalization
+
+        def counted_model(params, x):
+            counts["model"] += 1
+            counts["points"] += np.size(x)
+            return model(params, x)
+
+        def counted_normalization(params):
+            counts["normalization"] += 1
+            return norm(params)
+
+        monkeypatch.setattr(estimation, "ccdf_abs", counted_model)
+        monkeypatch.setattr(qgaussian, "normalization", counted_normalization)
+        fit_qgaussian_ccdf(ccdf)
+        assert counts["model"] > 0
+        assert counts["normalization"] == counts["model"]
+        assert counts["points"] == counts["model"] * len(ccdf)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):

@@ -144,6 +144,17 @@ class TestCcdfAbs:
         assert np.all(np.diff(vals) <= 0.0)
         assert np.all((vals > 0.0) & (vals <= 1.0))
 
+    @pytest.mark.parametrize("q", [1.01, 1.2, 1.53, 2.0, 2.9])
+    @pytest.mark.parametrize("beta", [1e-3, 1.0, 1e3])
+    def test_array_equals_scalar_calls(self, q, beta):
+        # x = 0, and points on both sides of the split between the direct
+        # series and the tail remainder at beta (3-q) x^2 = 1
+        p = QGaussianParams(q, beta)
+        x = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 40)])
+        split = beta * (3.0 - q) * x * x
+        assert np.any((x > 0.0) & (split <= 1.0)) and np.any(split > 1.0)
+        assert np.array_equal(ccdf_abs(p, x), [ccdf_abs(p, float(v)) for v in x])
+
     def test_rejects_nonzero_mu(self):
         with pytest.raises(ValueError):
             ccdf_abs(QGaussianParams(1.5, 1.0, mu=1.0), 1.0)
