@@ -217,19 +217,23 @@ def normalize(returns: ReturnSeries) -> NormalizedReturns:
 
 
 def pool(batches: list[NormalizedReturns]) -> NormalizedReturns:
-    """Concatenate per-instrument normalized returns, then re-standardize.
+    """Concatenate per-instrument normalized returns; one batch comes back as is.
 
-    Each instrument arrives at unit variance already, so pooling is a plain
-    concatenation followed by one more centering/scaling pass to restore the
-    exact unit-variance contract on the combined sample.
+    Every batch is centered and at unit variance, so their concatenation is
+    too, up to rounding that the `NormalizedReturns` contract checks.  A
+    second normalization would only move values by that rounding.
     """
     if not batches:
         raise ValueError("cannot pool an empty collection")
     dts = {b.dt for b in batches}
     if len(dts) > 1:
         raise ValueError(f"cannot pool across different dt values: {sorted(dts)}")
+    if len(batches) == 1:
+        return batches[0]
     combined = np.concatenate([b.values for b in batches])
-    return normalize(ReturnSeries(dt=batches[0].dt, values=combined))
+    return NormalizedReturns(
+        dt=batches[0].dt, values=combined, mean_removed=0.0, volatility=1.0, span=len(combined)
+    )
 
 
 def capped_grid(values: np.ndarray, grid: GridSpec = GridSpec()) -> GridSpec:
