@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -190,6 +191,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(out: Path) -> None:
+    """Raise UsageError now if `out` could not be created later; create nothing.
+
+    The nearest existing ancestor of `out` (or `out` itself) must be a
+    directory this process can write into.
+    """
+    existing = out
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
+        raise UsageError(
+            f"cannot create output directory {out}: {existing} is not a writable directory"
+        )
+
+
 def _make_out_dir(out: Path) -> None:
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -233,6 +249,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     if not config.inputs:
         raise UsageError("fit requires at least one --input file")
+    _check_out_dir(config.out)
     missing = [p for p in config.inputs if not Path(p).is_file()]
     if missing:
         raise PriceDataError(f"input file(s) not found: {', '.join(missing)}")

@@ -67,6 +67,8 @@ class ScaleFitResult:
     def __post_init__(self):
         if not math.isfinite(self.residual):
             raise ValueError("fit residual must be finite")
+        if not (math.isfinite(self.q) and math.isfinite(self.beta)):
+            raise ValueError(f"fitted q={self.q} and beta={self.beta} must be finite")
         if not Q_BOUNDS[0] <= self.q <= Q_BOUNDS[1]:
             raise ValueError(f"fitted q={self.q} escaped the search box")
         if not BETA_BOUNDS[0] <= self.beta <= BETA_BOUNDS[1]:

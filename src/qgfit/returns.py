@@ -138,6 +138,8 @@ class EmpiricalCCDF:
         object.__setattr__(self, "probabilities", np.asarray(self.probabilities, dtype=float))
         if len(self.thresholds) != len(self.probabilities):
             raise ValueError("thresholds and probabilities must have equal length")
+        if not (np.all(np.isfinite(self.thresholds)) and np.all(np.isfinite(self.probabilities))):
+            raise ValueError("thresholds and probabilities must be finite")
         if not np.all(np.diff(self.thresholds) > 0):
             raise ValueError("thresholds must be strictly increasing")
         if not np.all(self.thresholds > 0):

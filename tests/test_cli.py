@@ -333,14 +333,44 @@ class TestBadInputExitCodes:
         assert cli.main(["scaling", "--fits", str(path), "--out", str(tmp_path / "o")]) == 2
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows",
+        ["0.5,nan\n1.0,0.5\n2.0,0.2\n", "0.5,0.8\n1.0,0.5\ninf,0.2\n"],
+        ids=["nan_ccdf", "inf_x"],
+    )
+    def test_nonfinite_ccdf_is_data_error(self, tmp_path, capsys, rows):
+        path = tmp_path / "ccdf.csv"
+        path.write_text("x,ccdf\n" + rows, encoding="utf-8")
+        out = tmp_path / "o"
+        argv = ["pdfplot", "--ccdf", str(path), "--q", "1.5", "--beta", "1", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err
+        assert str(path) in err
+        assert not out.exists()
+
+    def test_nonfinite_fit_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "fits.csv"
+        path.write_text("dt,q,beta\n4,nan,1.7\n8,1.49,1.6\n16,1.45,1.5\n", encoding="utf-8")
+        assert cli.main(["scaling", "--fits", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err
+        assert str(path) in err
+
     def test_negative_grid_min_is_usage_error(self, tmp_path, capsys):
         path = write_walk(tmp_path / "walk.csv")
         argv = ["fit", "--input", str(path), "--grid-min", "-1", "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 1
         assert "grid minimum must be positive" in capsys.readouterr().err
 
-    def test_out_under_regular_file_is_usage_error(self, tmp_path, capsys):
+    def test_out_under_regular_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
         path = write_walk(tmp_path / "walk.csv")
         out = tmp_path / "walk.csv" / "o"
+
+        def unexpected(p):
+            raise AssertionError(f"{p} was parsed before --out was checked")
+
+        # the bad --out is reported before any input is parsed
+        monkeypatch.setattr(cli, "read_price_csv", unexpected)
         assert cli.main(["fit", "--input", str(path), "--dt", "1", "--out", str(out)]) == 1
         assert str(out) in capsys.readouterr().err

@@ -234,6 +234,11 @@ class TestSerialization:
         loaded = load_scale_fits(path)
         assert loaded[0] == fits[0]
 
+    @pytest.mark.parametrize("q,beta", [(float("nan"), 1.2), (1.5, float("inf"))])
+    def test_rejects_non_finite_parameters(self, q, beta):
+        with pytest.raises(ValueError, match="must be finite"):
+            ScaleFitResult(dt=4, q=q, beta=beta, residual=0.0, n_points=0, converged=True)
+
     def test_rejects_bad_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")

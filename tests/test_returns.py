@@ -182,6 +182,19 @@ class TestEmpiricalCcdf:
         ccdf = ccdf_of_samples(rng.standard_t(3, 5000), dt=1)
         assert np.all(np.diff(ccdf.probabilities) <= 0.0)
 
+    @pytest.mark.parametrize(
+        "x,p",
+        [
+            ([1.0, 2.0, np.inf], [0.5, 0.25, 0.1]),
+            ([np.nan, 2.0, 3.0], [0.5, 0.25, 0.1]),
+            ([1.0, 2.0, 3.0], [0.5, np.nan, 0.1]),
+        ],
+        ids=["inf_threshold", "nan_threshold", "nan_probability"],
+    )
+    def test_rejects_non_finite(self, x, p):
+        with pytest.raises(ValueError, match="must be finite"):
+            EmpiricalCCDF(dt=1, thresholds=x, probabilities=p, n_samples=0)
+
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             GridSpec(min=2.0, max=1.0)
