@@ -1,4 +1,8 @@
-"""End-to-end tests of the command-line interface, via subprocess and `cli.main`."""
+"""End-to-end tests of the command-line interface.
+
+Commands run in this process through `cli.main`; a few cases run
+`python -m qgfit.cli` as a subprocess to cover the real entry point.
+"""
 
 import csv
 import json
@@ -19,7 +23,7 @@ TABLE1_FIRST = "4,1.53,1.78"
 TABLE1_LAST = "780,1.35,1.03"
 
 
-def run_cli(*argv, cwd=None):
+def run_cli(*argv):
     # The child imports the same qgfit as this process, installed or not.
     package_root = str(Path(qgfit.__file__).parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
@@ -27,9 +31,13 @@ def run_cli(*argv, cwd=None):
         [sys.executable, "-m", "qgfit.cli", *map(str, argv)],
         capture_output=True,
         text=True,
-        cwd=cwd,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
+
+
+def run(*argv):
+    """Run one CLI command in this process and return its exit code."""
+    return cli.main([str(a) for a in argv])
 
 
 def read_csv_rows(path):
@@ -40,7 +48,7 @@ def read_csv_rows(path):
 class TestTable1:
     def test_emits_published_rows(self, tmp_path):
         out = tmp_path / "o"
-        assert run_cli("table1", "--out", out).returncode == 0
+        assert run("table1", "--out", out) == 0
         lines = (out / "table1.csv").read_text().strip().splitlines()
         assert lines[0] == "dt,q,beta"
         assert len(lines) == 10
@@ -49,51 +57,49 @@ class TestTable1:
 
     def test_reinvocation_identical(self, tmp_path):
         out = tmp_path / "o"
-        run_cli("table1", "--out", out)
+        run("table1", "--out", out)
         first = (out / "table1.csv").read_bytes()
-        run_cli("table1", "--out", out)
+        run("table1", "--out", out)
         assert (out / "table1.csv").read_bytes() == first
 
 
 class TestSynth:
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run_cli("synth", "--q", 1.5, "--beta", 1, "--n", 5000, "--seed", 9, "--out", a).returncode == 0
-        assert run_cli("synth", "--q", 1.5, "--beta", 1, "--n", 5000, "--seed", 9, "--out", b).returncode == 0
+        assert run("synth", "--q", 1.5, "--beta", 1, "--n", 5000, "--seed", 9, "--out", a) == 0
+        assert run("synth", "--q", 1.5, "--beta", 1, "--n", 5000, "--seed", 9, "--out", b) == 0
         assert (a / "synth.csv").read_bytes() == (b / "synth.csv").read_bytes()
 
     def test_different_seeds_differ(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        run_cli("synth", "--q", 1.5, "--beta", 1, "--n", 5000, "--seed", 1, "--out", a)
-        run_cli("synth", "--q", 1.5, "--beta", 1, "--n", 5000, "--seed", 2, "--out", b)
+        run("synth", "--q", 1.5, "--beta", 1, "--n", 5000, "--seed", 1, "--out", a)
+        run("synth", "--q", 1.5, "--beta", 1, "--n", 5000, "--seed", 2, "--out", b)
         assert (a / "synth.csv").read_bytes() != (b / "synth.csv").read_bytes()
 
     def test_n_too_small(self, tmp_path):
-        res = run_cli("synth", "--q", 1.5, "--beta", 1, "--n", 1, "--out", tmp_path / "o")
-        assert res.returncode == 1
+        assert run("synth", "--q", 1.5, "--beta", 1, "--n", 1, "--out", tmp_path / "o") == 1
 
     def test_invalid_params(self, tmp_path):
-        res = run_cli("synth", "--q", 3.5, "--beta", 1, "--n", 100, "--out", tmp_path / "o")
-        assert res.returncode == 1
+        assert run("synth", "--q", 3.5, "--beta", 1, "--n", 100, "--out", tmp_path / "o") == 1
 
 
 class TestFit:
     def test_two_company_bundle_shapes(self, tmp_path):
         for seed, name in [(5, "alpha"), (6, "bravo")]:
             out = tmp_path / name
-            run_cli("synth", "--q", 1.5, "--beta", 1, "--n", 30000, "--seed", seed, "--out", out)
+            run("synth", "--q", 1.5, "--beta", 1, "--n", 30000, "--seed", seed, "--out", out)
             (out / "synth.csv").rename(tmp_path / f"{name}.csv")
         inputs_before = {
             name: (tmp_path / f"{name}.csv").read_bytes() for name in ("alpha", "bravo")
         }
         out = tmp_path / "fits"
-        res = run_cli(
+        status = run(
             "fit",
             "--input", tmp_path / "alpha.csv", tmp_path / "bravo.csv",
             "--dt", "4,16",
             "--out", out,
         )
-        assert res.returncode == 0, res.stderr
+        assert status == 0
         table = (out / "table.csv").read_text().strip().splitlines()
         assert table[0] == "dt,q,beta"
         assert len(table) == 3
@@ -109,26 +115,25 @@ class TestFit:
             assert (tmp_path / f"{name}.csv").read_bytes() == before
         # the whole command is deterministic given (inputs, flags)
         rerun = tmp_path / "fits2"
-        res = run_cli(
+        status = run(
             "fit",
             "--input", tmp_path / "alpha.csv", tmp_path / "bravo.csv",
             "--dt", "4,16",
             "--out", rerun,
         )
-        assert res.returncode == 0, res.stderr
+        assert status == 0
         assert (rerun / "fits.json").read_bytes() == (out / "fits.json").read_bytes()
 
     def test_round_trip_recovers_q(self, tmp_path):
         # geometric walk with heavy-tailed increments: the dt=1 fit has to
         # land on the generating index
         gen = tmp_path / "gen"
-        res = run_cli(
+        status = run(
             "synth", "--q", 1.5, "--beta", 1, "--n", 1_000_000, "--seed", 12, "--out", gen
         )
-        assert res.returncode == 0, res.stderr
+        assert status == 0
         out = tmp_path / "fits"
-        res = run_cli("fit", "--input", gen / "synth.csv", "--dt", "1", "--out", out)
-        assert res.returncode == 0, res.stderr
+        assert run("fit", "--input", gen / "synth.csv", "--dt", "1", "--out", out) == 0
         fits = json.loads((out / "fits.json").read_text())
         assert fits[0]["q"] == pytest.approx(1.5, abs=0.02)
 
@@ -138,24 +143,22 @@ class TestFit:
         assert res.returncode == 2
         assert not out.exists()
 
-    def test_degenerate_series_rejected(self, tmp_path):
+    def test_degenerate_series_rejected(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         path.write_text(
             "timestamp,price\n" + "".join(f"{t},50.0\n" for t in range(200)),
             encoding="utf-8",
         )
-        res = run_cli("fit", "--input", path, "--dt", "1", "--out", tmp_path / "o")
-        assert res.returncode == 2
-        assert "data error" in res.stderr
+        assert run("fit", "--input", path, "--dt", "1", "--out", tmp_path / "o") == 2
+        assert "data error" in capsys.readouterr().err
 
 
 class TestScaling:
     def test_bundled_table_exponents(self, tmp_path):
         t1 = tmp_path / "t1"
-        run_cli("table1", "--out", t1)
+        run("table1", "--out", t1)
         out = tmp_path / "sc"
-        res = run_cli("scaling", "--fits", t1 / "table1.csv", "--out", out)
-        assert res.returncode == 0, res.stderr
+        assert run("scaling", "--fits", t1 / "table1.csv", "--out", out) == 0
         report = json.loads((out / "scaling.json").read_text())
         assert abs(report["tau_fit"]["exponent"]) == pytest.approx(0.081, abs=0.01)
         assert abs(report["gamma_fit"]["exponent"]) == pytest.approx(0.106, abs=0.01)
@@ -168,8 +171,7 @@ class TestScaling:
     def test_two_rows_rejected(self, tmp_path):
         path = tmp_path / "two.csv"
         path.write_text("dt,q,beta\n4,1.5,1.7\n8,1.49,1.6\n", encoding="utf-8")
-        res = run_cli("scaling", "--fits", path, "--out", tmp_path / "o")
-        assert res.returncode == 2
+        assert run("scaling", "--fits", path, "--out", tmp_path / "o") == 2
 
     def test_exact_power_law_rows(self, tmp_path):
         rows = ["dt,q,beta"]
@@ -178,7 +180,7 @@ class TestScaling:
         path = tmp_path / "exact.csv"
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         out = tmp_path / "o"
-        assert run_cli("scaling", "--fits", path, "--out", out).returncode == 0
+        assert run("scaling", "--fits", path, "--out", out) == 0
         report = json.loads((out / "scaling.json").read_text())
         assert report["tau_fit"]["stderr"] == pytest.approx(0.0, abs=1e-9)
         assert report["gamma_fit"]["stderr"] == pytest.approx(0.0, abs=1e-9)
@@ -186,8 +188,7 @@ class TestScaling:
     def test_malformed_input(self, tmp_path):
         path = tmp_path / "junk.csv"
         path.write_text("a,b,c\n1,2,3\n4,5,6\n7,8,9\n", encoding="utf-8")
-        res = run_cli("scaling", "--fits", path, "--out", tmp_path / "o")
-        assert res.returncode == 2
+        assert run("scaling", "--fits", path, "--out", tmp_path / "o") == 2
 
 
 class TestPdfPlot:
@@ -204,10 +205,10 @@ class TestPdfPlot:
 
     def test_numeric_matches_model(self, tmp_path, model_ccdf_file):
         out = tmp_path / "o"
-        res = run_cli(
+        status = run(
             "pdfplot", "--ccdf", model_ccdf_file, "--q", 1.53, "--beta", 1.78, "--out", out
         )
-        assert res.returncode == 0, res.stderr
+        assert status == 0
         rows = read_csv_rows(out / "pdfplot.csv")
         for row in rows:
             if 0.1 <= float(row["x"]) <= 10.0:
@@ -219,35 +220,33 @@ class TestPdfPlot:
         path = tmp_path / "tiny.csv"
         path.write_text("x,ccdf,n_samples\n0.5,0.8,10\n1.0,0.5,10\n2.0,0.2,10\n")
         out = tmp_path / "o"
-        res = run_cli("pdfplot", "--ccdf", path, "--q", 1.5, "--beta", 1.0, "--out", out)
-        assert res.returncode == 0, res.stderr
+        assert run("pdfplot", "--ccdf", path, "--q", 1.5, "--beta", 1.0, "--out", out) == 0
         assert len(read_csv_rows(out / "pdfplot.csv")) == 2
 
     def test_nonnegative_densities(self, tmp_path, model_ccdf_file):
         out = tmp_path / "o"
-        run_cli("pdfplot", "--ccdf", model_ccdf_file, "--q", 1.4, "--beta", 0.7, "--out", out)
+        run("pdfplot", "--ccdf", model_ccdf_file, "--q", 1.4, "--beta", 0.7, "--out", out)
         assert all(float(r["pdf_numeric"]) >= 0.0 for r in read_csv_rows(out / "pdfplot.csv"))
 
     def test_malformed_ccdf(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")
-        res = run_cli("pdfplot", "--ccdf", path, "--q", 1.5, "--beta", 1.0, "--out", tmp_path / "o")
-        assert res.returncode == 2
+        out = tmp_path / "o"
+        assert run("pdfplot", "--ccdf", path, "--q", 1.5, "--beta", 1.0, "--out", out) == 2
 
     def test_chains_from_fit_output(self, tmp_path):
         # the per-scale curve files written by `fit` feed straight into pdfplot
         gen = tmp_path / "gen"
-        run_cli("synth", "--q", 1.5, "--beta", 1, "--n", 50000, "--seed", 8, "--out", gen)
+        run("synth", "--q", 1.5, "--beta", 1, "--n", 50000, "--seed", 8, "--out", gen)
         fits = tmp_path / "fits"
-        res = run_cli("fit", "--input", gen / "synth.csv", "--dt", "1", "--out", fits)
-        assert res.returncode == 0, res.stderr
+        assert run("fit", "--input", gen / "synth.csv", "--dt", "1", "--out", fits) == 0
         row = json.loads((fits / "fits.json").read_text())[0]
         out = tmp_path / "plots"
-        res = run_cli(
+        status = run(
             "pdfplot", "--ccdf", fits / "ccdf_dt1.csv",
             "--q", row["q"], "--beta", row["beta"], "--out", out,
         )
-        assert res.returncode == 0, res.stderr
+        assert status == 0
         assert (out / "pdfplot.csv").is_file()
 
 
@@ -255,23 +254,20 @@ class TestConfigPrecedence:
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"out = {tmp_path / 'from_cfg'}\n# comment\n", encoding="utf-8")
-        res = run_cli("table1", "--config", cfg)
-        assert res.returncode == 0
+        assert run("table1", "--config", cfg) == 0
         assert (tmp_path / "from_cfg" / "table1.csv").is_file()
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"out = {tmp_path / 'from_cfg'}\n", encoding="utf-8")
-        res = run_cli("table1", "--config", cfg, "--out", tmp_path / "from_flag")
-        assert res.returncode == 0
+        assert run("table1", "--config", cfg, "--out", tmp_path / "from_flag") == 0
         assert (tmp_path / "from_flag" / "table1.csv").is_file()
         assert not (tmp_path / "from_cfg").exists()
 
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this is not a key value pair\n", encoding="utf-8")
-        res = run_cli("table1", "--config", cfg, "--out", tmp_path / "o")
-        assert res.returncode == 1
+        assert run("table1", "--config", cfg, "--out", tmp_path / "o") == 1
 
 
 class TestUsage:
@@ -282,17 +278,16 @@ class TestUsage:
         assert run_cli().returncode == 1
 
     def test_fit_requires_input(self, tmp_path):
-        res = run_cli("fit", "--out", tmp_path / "o")
-        assert res.returncode == 1
+        assert run("fit", "--out", tmp_path / "o") == 1
 
     def test_json_format_fit_outputs(self, tmp_path):
         gen = tmp_path / "gen"
-        run_cli("synth", "--q", 1.6, "--beta", 1, "--n", 20000, "--seed", 4, "--out", gen)
+        run("synth", "--q", 1.6, "--beta", 1, "--n", 20000, "--seed", 4, "--out", gen)
         out = tmp_path / "fits"
-        res = run_cli(
+        status = run(
             "fit", "--input", gen / "synth.csv", "--dt", "2", "--format", "json", "--out", out
         )
-        assert res.returncode == 0, res.stderr
+        assert status == 0
         payload = json.loads((out / "ccdf_dt2.json").read_text())
         assert payload["dt"] == 2
         assert len(payload["ccdf_fitted"]) == len(payload["x"])
