@@ -136,9 +136,10 @@ def fit_qgaussian_ccdf(
     with a Nelder-Mead simplex in transformed coordinates (the logit map
     keeps q and beta inside their boxes).  Each candidate (q, beta) costs one
     `ccdf_abs` call on the whole grid, so the model and its normalization
-    are evaluated once per candidate, not once per grid point.  The search restarts once from a
-    perturbed optimum; the converged flag reports the winning run's status.
-    Non-convergence is reported through the flag, not raised.
+    are evaluated once per candidate, not once per grid point.  The search
+    restarts once from a perturbed optimum; the converged flag reports the
+    winning run's status.  Non-convergence is reported through the flag,
+    not raised.
     """
     if len(ccdf) < _MIN_FIT_POINTS:
         raise ValueError(f"need at least {_MIN_FIT_POINTS} CCDF points, got {len(ccdf)}")
@@ -149,9 +150,8 @@ def fit_qgaussian_ccdf(
     target = np.log10(ccdf.probabilities).tolist()
 
     def objective(u: np.ndarray) -> float:
-        # One model call per candidate, so A(q, beta) is computed once; the
-        # residuals are summed in grid order, as a Python loop, so every fit
-        # keeps its exact floating-point path.
+        # A sequential Python sum in grid order fixes each fit's rounding;
+        # np.sum would add the terms pairwise and move fits by ulps.
         model = ccdf_abs(QGaussianParams(*_from_unbounded(u)), xs)
         total = 0.0
         for m, t in zip(model.tolist(), target):
