@@ -198,7 +198,7 @@ def _check_out_dir(out: Path) -> None:
     directory this process can write into.
     """
     existing = out
-    while not existing.exists():
+    while not existing.exists() and existing != existing.parent:
         existing = existing.parent
     if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
         raise UsageError(
