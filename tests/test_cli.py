@@ -5,7 +5,9 @@ Commands run in this process through `cli.main`; a few cases run
 """
 
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +40,39 @@ def run_cli(*argv):
 def run(*argv):
     """Run one CLI command in this process and return its exit code."""
     return cli.main([str(a) for a in argv])
+
+
+# Rows per block of the synth price writer.
+SYNTH_BLOCK_ROWS = 4096
+
+
+def synth_csv_reference(q, beta, n, seed):
+    """The bytes of synth.csv as documented, rebuilt without the CLI.
+
+    Increments are standard normals over sqrt(chi-square/nu), drawn in that
+    order from one PCG64 generator, scaled by 1/sqrt(beta(3-q)).  The log
+    walk starts at 0; if it spans more than 1200, its increments are scaled
+    so that it spans exactly 1200, and if it then leaves [-600, 600] it is
+    recentred.  Prices are 100 exp(log price), written by csv.writer as
+    `timestamp,price` rows with integer ticks from 0 and %.17g prices.
+    """
+    nu = (3.0 - q) / (q - 1.0)
+    rng = np.random.default_rng(seed)
+    normal = rng.standard_normal(n - 1)
+    chi2 = rng.chisquare(nu, n - 1)
+    increments = normal / np.sqrt(chi2 / nu) / math.sqrt(beta * (3.0 - q))
+    log_price = np.concatenate([[0.0], np.cumsum(increments)])
+    half_range = 0.5 * (log_price.max() - log_price.min())
+    if half_range > 600.0:
+        log_price = np.concatenate([[0.0], np.cumsum(600.0 / half_range * increments)])
+    if log_price.max() > 600.0 or log_price.min() < -600.0:
+        log_price -= 0.5 * (log_price.max() + log_price.min())
+    prices = 100.0 * np.exp(log_price)
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["timestamp", "price"])
+    writer.writerows((t, f"{p:.17g}") for t, p in enumerate(prices))
+    return text.getvalue().encode("utf-8")
 
 
 def read_csv_rows(path):
@@ -75,6 +110,26 @@ class TestSynth:
         run("synth", "--q", 1.5, "--beta", 1, "--n", 5000, "--seed", 1, "--out", a)
         run("synth", "--q", 1.5, "--beta", 1, "--n", 5000, "--seed", 2, "--out", b)
         assert (a / "synth.csv").read_bytes() != (b / "synth.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "q, beta, n, seed, branch",
+        [
+            (1.5, 1.0, 200_000, 3, "plain"),
+            (1.9, 0.5, 20_000, 4, "rescale"),
+            (1.3, 0.01, SYNTH_BLOCK_ROWS, 3, "recentre"),
+            (1.5, 1.0, 2, 9, "plain"),
+            (1.2, 3.0, SYNTH_BLOCK_ROWS + 1, 5, "plain"),
+            (2.5, 10.0, 2 * SYNTH_BLOCK_ROWS + 3, 6, "rescale"),
+        ],
+    )
+    def test_bytes_match_documented_walk(self, tmp_path, capsys, q, beta, n, seed, branch):
+        argv = ["synth", "--q", q, "--beta", beta, "--n", n, "--seed", seed, "--out", tmp_path]
+        assert run(*argv) == 0
+        written = (tmp_path / "synth.csv").read_bytes()
+        assert written == synth_csv_reference(q, beta, n, seed)
+        # the case exercises the branch it is labelled with
+        assert ("increments scaled" in capsys.readouterr().err) == (branch == "rescale")
+        assert (written.split(b"\r\n")[1] == b"0,100") == (branch == "plain")
 
     def test_n_too_small(self, tmp_path):
         assert run("synth", "--q", 1.5, "--beta", 1, "--n", 1, "--out", tmp_path / "o") == 1
