@@ -50,6 +50,9 @@ EXIT_NUMERICAL = 3
 # Largest half-range of log prices the synthetic walk may span before the
 # increments are rescaled to keep exp() inside float64.
 _MAX_LOG_PRICE_HALF_RANGE = 600.0
+# Rows formatted into one string per write of synth.csv: the whole file is
+# never held as row strings.
+_SYNTH_BLOCK_ROWS = 4096
 
 
 class UsageError(Exception):
@@ -359,7 +362,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
 
     increments = sample(params, args.n - 1, seed=config.seed)
-    log_price = np.concatenate([[0.0], np.cumsum(increments)])
+    log_price = np.empty(args.n)
+    log_price[0] = 0.0
+    np.cumsum(increments, out=log_price[1:])
     half_range = 0.5 * (log_price.max() - log_price.min())
     if half_range > _MAX_LOG_PRICE_HALF_RANGE:
         # A heavy-tailed walk this long leaves float64 price range; shrink the
@@ -370,18 +375,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"by {scale:.3g} (fitted q unaffected)",
             file=sys.stderr,
         )
-        log_price = np.concatenate([[0.0], np.cumsum(scale * increments)])
+        increments *= scale
+        np.cumsum(increments, out=log_price[1:])
     if log_price.max() > _MAX_LOG_PRICE_HALF_RANGE or log_price.min() < -_MAX_LOG_PRICE_HALF_RANGE:
         # start price stays at 100 unless the walk wanders too far from it
         log_price -= 0.5 * (log_price.max() + log_price.min())
-    prices = 100.0 * np.exp(log_price)
+    prices = np.exp(log_price, out=log_price)
+    prices *= 100.0
 
     _make_out_dir(config.out)
-    _write_rows(
-        config.out / "synth.csv",
-        ["timestamp", "price"],
-        ((t, f"{p:.17g}") for t, p in enumerate(prices)),
-    )
+    with open(config.out / "synth.csv", "w", newline="", encoding="utf-8") as fh:
+        fh.write("timestamp,price\r\n")
+        for start in range(0, args.n, _SYNTH_BLOCK_ROWS):
+            block = prices[start : start + _SYNTH_BLOCK_ROWS].tolist()
+            fh.write("".join(f"{t},{p:.17g}\r\n" for t, p in enumerate(block, start)))
     print(f"wrote {config.out / 'synth.csv'}")
     return EXIT_OK
 

@@ -171,7 +171,12 @@ def sample(params: QGaussianParams, n: int, seed: int) -> np.ndarray:
     q, beta = params.q, params.beta
     nu = (3.0 - q) / (q - 1.0)
     rng = np.random.default_rng(seed)
-    normal = rng.standard_normal(n)
+    draws = rng.standard_normal(n)
     chi2 = rng.chisquare(nu, n)
-    t = normal / np.sqrt(chi2 / nu)
-    return params.mu + t / math.sqrt(beta * (3.0 - q))
+    # In place, in the order normal / sqrt(chi2 / nu) / sqrt(beta(3-q)) + mu.
+    chi2 /= nu
+    np.sqrt(chi2, out=chi2)
+    draws /= chi2
+    draws /= math.sqrt(beta * (3.0 - q))
+    draws += params.mu
+    return draws

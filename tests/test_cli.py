@@ -42,8 +42,7 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
-# Rows per block of the synth price writer.
-SYNTH_BLOCK_ROWS = 4096
+SYNTH_BLOCK_ROWS = cli._SYNTH_BLOCK_ROWS
 
 
 def synth_csv_reference(q, beta, n, seed):

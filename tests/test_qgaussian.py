@@ -192,6 +192,16 @@ class TestSample:
         p = QGaussianParams(1.5, 1.0)
         assert np.array_equal(sample(p, 1000, seed=42), sample(p, 1000, seed=42))
 
+    @pytest.mark.parametrize("q", [1.2, 1.7, 2.9])
+    def test_equals_explicit_student_t(self, q):
+        # the documented stream: normals, then chi-squares, from one PCG64
+        beta, mu, nu = 2.5, -0.75, (3.0 - q) / (q - 1.0)
+        rng = np.random.default_rng(8)
+        normal = rng.standard_normal(5000)
+        chi2 = rng.chisquare(nu, 5000)
+        expected = mu + normal / np.sqrt(chi2 / nu) / math.sqrt(beta * (3.0 - q))
+        assert np.array_equal(sample(QGaussianParams(q, beta, mu), 5000, seed=8), expected)
+
     def test_cauchy_median(self):
         # P(|X| > 1) = 1/2 for the Cauchy case
         draws = sample(QGaussianParams(2.0, 1.0), 10**6, seed=7)
