@@ -59,6 +59,10 @@ class UsageError(Exception):
     """Invalid flag combination or value."""
 
 
+class NumericalError(Exception):
+    """A computation produced non-finite values."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; this tool reserves 2 for
     # data errors, so usage problems are remapped to 1.
@@ -361,6 +365,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
+    _check_out_dir(config.out)
     increments = sample(params, args.n - 1, seed=config.seed)
     log_price = np.empty(args.n)
     log_price[0] = 0.0
@@ -382,6 +387,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         log_price -= 0.5 * (log_price.max() + log_price.min())
     prices = np.exp(log_price, out=log_price)
     prices *= 100.0
+    if not np.isfinite(prices).all():
+        raise NumericalError(
+            f"synth at q={args.q} gives non-finite prices: near q = 3 the "
+            f"chi-square draws underflow to 0, which makes increments infinite"
+        )
 
     _make_out_dir(config.out)
     with open(config.out / "synth.csv", "w", newline="", encoding="utf-8") as fh:
@@ -432,7 +442,7 @@ def main(argv=None) -> int:
     except (PriceDataError, DegenerateSeriesError, FileNotFoundError) as exc:
         print(f"qgfit: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, NumericalError) as exc:
         print(f"qgfit: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -130,6 +130,31 @@ class TestSynth:
         assert ("increments scaled" in capsys.readouterr().err) == (branch == "rescale")
         assert (written.split(b"\r\n")[1] == b"0,100") == (branch == "plain")
 
+    @pytest.mark.filterwarnings(
+        "ignore:divide by zero encountered:RuntimeWarning",
+        "ignore:invalid value encountered:RuntimeWarning",
+        "ignore:overflow encountered:RuntimeWarning",
+    )
+    @pytest.mark.parametrize("q", [2.95, 2.99])
+    def test_non_finite_prices_are_numerical_error(self, tmp_path, capsys, q):
+        # chi-square draws underflow to 0 near q = 3, so some increments are infinite
+        out = tmp_path / "o"
+        assert run("synth", "--q", q, "--beta", 1, "--n", 100_000, "--seed", 1, "--out", out) == 3
+        assert f"q={q}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_under_regular_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        out = blocker / "o"
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("sampled before --out was checked")
+
+        monkeypatch.setattr(cli, "sample", unexpected)
+        assert run("synth", "--q", 1.5, "--beta", 1, "--n", 100, "--out", out) == 1
+        assert str(out) in capsys.readouterr().err
+
     def test_n_too_small(self, tmp_path):
         assert run("synth", "--q", 1.5, "--beta", 1, "--n", 1, "--out", tmp_path / "o") == 1
 
