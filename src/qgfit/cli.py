@@ -367,8 +367,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     _check_out_dir(config.out)
     increments = sample(params, args.n - 1, seed=config.seed)
-    log_price = np.empty(args.n)
-    log_price[0] = 0.0
+    log_price = np.zeros(args.n)
     np.cumsum(increments, out=log_price[1:])
     half_range = 0.5 * (log_price.max() - log_price.min())
     if half_range > _MAX_LOG_PRICE_HALF_RANGE:

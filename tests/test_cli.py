@@ -113,7 +113,7 @@ class TestSynth:
     @pytest.mark.parametrize(
         "q, beta, n, seed, branch",
         [
-            (1.5, 1.0, 200_000, 3, "plain"),
+            (1.5, 1.0, 50_000, 3, "plain"),
             (1.9, 0.5, 20_000, 4, "rescale"),
             (1.3, 0.01, SYNTH_BLOCK_ROWS, 3, "recentre"),
             (1.5, 1.0, 2, 9, "plain"),
