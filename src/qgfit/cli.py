@@ -19,6 +19,8 @@ import numpy as np
 
 from .datasets import DEFAULT_DT_LADDER, TABLE1_ROWS
 from .estimation import (
+    BETA_BOUNDS,
+    Q_BOUNDS,
     ScaleFitResult,
     fit_qgaussian_ccdf,
     load_scale_fits,
@@ -40,7 +42,6 @@ from .returns import (
     read_ccdf_csv,
     read_price_csv,
 )
-from .special import NonConvergenceError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,6 +51,8 @@ EXIT_NUMERICAL = 3
 # Largest half-range of log prices the synthetic walk may span before the
 # increments are rescaled to keep exp() inside float64.
 _MAX_LOG_PRICE_HALF_RANGE = 600.0
+# Relative distance from a search-box edge at which a fit counts as pinned.
+_BOX_EDGE_RTOL = 1e-6
 # Rows formatted into one string per write of synth.csv: the whole file is
 # never held as row strings.
 _SYNTH_BLOCK_ROWS = 4096
@@ -252,6 +255,15 @@ def _write_fit_curve(config: RunConfig, dt: int, ccdf, fitted: ScaleFitResult) -
         )
 
 
+def _on_box_edge(fit: ScaleFitResult) -> bool:
+    """True when q or beta lies within _BOX_EDGE_RTOL of a search-box edge."""
+    return any(
+        abs(value - edge) <= _BOX_EDGE_RTOL * edge
+        for value, bounds in ((fit.q, Q_BOUNDS), (fit.beta, BETA_BOUNDS))
+        for edge in bounds
+    )
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     if not config.inputs:
@@ -270,6 +282,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
         fit = fit_qgaussian_ccdf(ccdf)
         if not fit.converged:
             print(f"warning: fit at dt={dt} did not converge", file=sys.stderr)
+        if _on_box_edge(fit):
+            print(
+                f"warning: fit at dt={dt} ended on the search-box edge "
+                f"(q={fit.q:.6g}, beta={fit.beta:.6g})",
+                file=sys.stderr,
+            )
         fits.append(fit)
         curves.append((dt, ccdf, fit))
 
@@ -372,11 +390,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     half_range = 0.5 * (log_price.max() - log_price.min())
     if half_range > _MAX_LOG_PRICE_HALF_RANGE:
         # A heavy-tailed walk this long leaves float64 price range; shrink the
-        # increments.  Normalized returns, hence the fitted q, are unaffected.
+        # increments.  The repeated-price check below catches a shrink that
+        # drops most increments below the resolution of the price.
         scale = _MAX_LOG_PRICE_HALF_RANGE / half_range
         print(
-            f"warning: log-price range too wide for float64; increments scaled "
-            f"by {scale:.3g} (fitted q unaffected)",
+            f"warning: log-price range too wide for float64; increments scaled by {scale:.3g}",
             file=sys.stderr,
         )
         increments *= scale
@@ -390,6 +408,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise NumericalError(
             f"synth at q={args.q} gives non-finite prices: near q = 3 the "
             f"chi-square draws underflow to 0, which makes increments infinite"
+        )
+    repeats = np.count_nonzero(prices[1:] == prices[:-1])
+    if repeats:
+        raise NumericalError(
+            f"synth at q={args.q} writes {repeats} of {args.n - 1} prices equal to "
+            f"the one before: the increments fall below float64's price resolution"
         )
 
     _make_out_dir(config.out)
@@ -441,7 +465,7 @@ def main(argv=None) -> int:
     except (PriceDataError, DegenerateSeriesError, FileNotFoundError) as exc:
         print(f"qgfit: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NonConvergenceError, NumericalError) as exc:
+    except NumericalError as exc:
         print(f"qgfit: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -110,25 +110,6 @@ def pdf(params: QGaussianParams, x):
     return amp * exp_q(params.q, -params.beta * d * d)
 
 
-def _ccdf_abs_scalar(q: float, beta: float, b: float, amp: float, x: float) -> float:
-    if x < 0.0:
-        raise ValueError(f"ccdf_abs requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 1.0
-    z = beta * (q - 1.0) * x * x
-    # Splitting point: beta (3-q) x^2 = 1 is (up to the Student-t scale map)
-    # |t-statistic| = 1, where the exceedance probability is still >= ~0.3.
-    if beta * (3.0 - q) * x * x <= 1.0:
-        value = 1.0 - 2.0 * amp * x * hyp2f1(Hyp2F1Args(0.5, b, 1.5, -z))
-        return min(max(value, 0.0), 1.0)
-    # Past that point the direct form suffers 1 - (1 - eps) cancellation, so
-    # use the identity 1 - 2 A x * (leading term of 2F1) = 0: what is left is
-    # the all-positive remainder series, accurate to full relative precision
-    # arbitrarily far into the tail.
-    value = 2.0 * amp * x * hyp2f1_tail_remainder(b, -z)
-    return min(value, 1.0)
-
-
 def ccdf_abs(params: QGaussianParams, x):
     """Exceedance probability P(|X| > x) for x >= 0; scalar or array.
 
@@ -138,11 +119,25 @@ def ccdf_abs(params: QGaussianParams, x):
     """
     if params.mu != 0.0:
         raise ValueError("ccdf_abs is defined for mu = 0 distributions only")
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs < 0.0):
+        raise ValueError(f"ccdf_abs requires x >= 0, got x={x}")
     q, beta, b = params.q, params.beta, params.b_exponent
     amp = normalization(params)
-    if isinstance(x, np.ndarray):
-        return np.array([_ccdf_abs_scalar(q, beta, b, amp, v) for v in x.tolist()])
-    return _ccdf_abs_scalar(q, beta, b, amp, float(x))
+    s = beta * (q - 1.0) * xs * xs
+    # Splitting point: beta (3-q) x^2 = 1 is (up to the Student-t scale map)
+    # |t-statistic| = 1, where the exceedance probability is still >= ~0.3.
+    head = beta * (3.0 - q) * xs * xs <= 1.0
+    tail = ~head
+    out = np.empty_like(s)
+    out[head] = 1.0 - 2.0 * amp * xs[head] * hyp2f1(Hyp2F1Args(0.5, b, 1.5, -s[head]))
+    # Past that point the direct form suffers 1 - (1 - eps) cancellation, so
+    # use the identity 1 - 2 A x * (leading term of 2F1) = 0: what is left is
+    # the remainder, accurate to full relative precision arbitrarily far
+    # into the tail.
+    out[tail] = 2.0 * amp * xs[tail] * hyp2f1_tail_remainder(b, -s[tail])
+    np.clip(out, 0.0, 1.0, out=out)
+    return out if out.ndim else float(out)
 
 
 def q_to_tail(q: float) -> TailExponent:

@@ -1,8 +1,13 @@
 """Log-gamma, gamma ratios, and the Gauss hypergeometric function.
 
-Self-contained float64 evaluation of the special functions needed by the
-heavy-tail CDF family 2F1(1/2, b; 3/2; z) with b > 1/2 and z <= 0.  No
-external special-function library is used on the production path.
+The heavy-tail CDF family 2F1(1/2, b; 3/2; z) with b > 1/2 and z <= 0 is a
+regularized incomplete beta function.  With s = -z and the large-s leading
+term L(s) = (sqrt(pi)/2) G(b-1/2)/G(b) / sqrt(s),
+
+    2F1(1/2, b; 3/2; -s)   = L(s) I(s/(1+s); 1/2, b-1/2)
+    L(s) - 2F1(..; -s)     = L(s) I(1/(1+s); b-1/2, 1/2)
+
+and both are evaluated over arrays of z by `scipy.special.betainc`.
 """
 
 from __future__ import annotations
@@ -10,32 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Series termination: relative tolerance on the last term, hard iteration cap.
-SERIES_RTOL = 1e-16
-MAX_TERMS = 10_000
-
-# Direct Taylor summation is used only while both cuts hold; beyond either
-# one the alternating terms grow large enough to destroy float64 accuracy.
-_DIRECT_Z_CUT = 0.9
-_DIRECT_BZ_CUT = 6.0
-
-# Bernoulli coefficients B_2n / (2n(2n-1)) of the log-gamma asymptotic series.
-_STIRLING_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-_STIRLING_MIN_X = 12.0
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+import numpy as np
+from scipy.special import betainc
 
 __all__ = [
     "Hyp2F1Args",
-    "NonConvergenceError",
     "ln_gamma",
     "gamma_ratio",
     "hyp2f1",
@@ -43,22 +27,19 @@ __all__ = [
 ]
 
 
-class NonConvergenceError(RuntimeError):
-    """A hypergeometric series failed to reach tolerance within MAX_TERMS."""
-
-
 @dataclass(frozen=True)
 class Hyp2F1Args:
     """Arguments (a, b; c; z) of the Gauss hypergeometric function.
 
     The absolute-returns CDF generates the family a = 1/2, c = 3/2,
-    b > 1/2, z <= 0; that is the regime this module is built for.
+    b > 1/2, z <= 0; that is the regime this module is built for.  z may be
+    a scalar or an array.
     """
 
     a: float
     b: float
     c: float
-    z: float
+    z: float | np.ndarray
 
     def __post_init__(self):
         if self.c <= 0.0 and self.c == math.floor(self.c):
@@ -66,27 +47,10 @@ class Hyp2F1Args:
 
 
 def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0.
-
-    Asymptotic (Stirling) series with Bernoulli correction terms, after
-    shifting the argument above 12 through the recurrence
-    ln G(x) = ln G(x+1) - ln x.  Relative error is at machine level over
-    [1e-3, 1e6].
-    """
-    x = float(x)
+    """Natural log of the Gamma function for x > 0 (`math.lgamma`)."""
     if not x > 0.0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    shift = 0.0
-    while x < _STIRLING_MIN_X:
-        shift += math.log(x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    tail = 0.0
-    for coeff in reversed(_STIRLING_COEFFS):
-        tail = tail * inv2 + coeff
-    value = (x - 0.5) * math.log(x) - x + _HALF_LOG_TWO_PI + tail * inv
-    return value - shift
+    return math.lgamma(x)
 
 
 def gamma_ratio(p: float, r: float) -> float:
@@ -98,90 +62,47 @@ def gamma_ratio(p: float, r: float) -> float:
     """
     if not (p > 0.0 and r > 0.0):
         raise ValueError(f"gamma_ratio requires positive arguments, got ({p}, {r})")
-    return math.exp(ln_gamma(p) - ln_gamma(r))
+    return math.exp(math.lgamma(p) - math.lgamma(r))
 
 
-def _series_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Direct Taylor summation of 2F1(a, b; c; z), valid for |z| < 1."""
-    term = 1.0
-    total = 1.0
-    for k in range(MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if abs(term) <= SERIES_RTOL * abs(total):
-            return total
-    raise NonConvergenceError(
-        f"2F1 series did not converge within {MAX_TERMS} terms "
-        f"(a={a}, b={b}, c={c}, z={z})"
-    )
+def _leading_term(b: float, s: np.ndarray) -> np.ndarray:
+    """Large-s leading behavior L(s) of 2F1(1/2, b; 3/2; -s) for s > 0."""
+    return 0.5 * math.sqrt(math.pi) * gamma_ratio(b - 0.5, b) / np.sqrt(s)
 
 
-def _ratio_series(b: float, w: float) -> float:
-    """Sum of prod_{j<k} (b+j)/(b+1/2+j) * w^k over k >= 0, for 0 <= w < 1.
-
-    This is 2F1(b, 1; b+1/2; w); every term is positive, so the sum carries
-    full relative precision for any b > 0.
-    """
-    term = 1.0
-    total = 1.0
-    for k in range(MAX_TERMS):
-        term *= (b + k) / (b + 0.5 + k) * w
-        total += term
-        if term <= SERIES_RTOL * total:
-            return total
-    raise NonConvergenceError(
-        f"subsidiary 2F1 series did not converge within {MAX_TERMS} terms "
-        f"(b={b}, w={w})"
-    )
-
-
-def _leading_term(b: float, z: float) -> float:
-    """Large-|z| leading behavior of 2F1(1/2, b; 3/2; z) for z < 0."""
-    return 0.5 * math.sqrt(math.pi) * gamma_ratio(b - 0.5, b) / math.sqrt(-z)
-
-
-def hyp2f1_tail_remainder(b: float, z: float) -> float:
+def hyp2f1_tail_remainder(b: float, z):
     """Gap between 2F1(1/2, b; 3/2; z) and its large-|z| leading term.
 
     Returns (sqrt(pi)/2) G(b-1/2)/G(b) (-z)^(-1/2) - 2F1(1/2, b; 3/2; z)
-    for b > 1/2 and z < 0, computed from an all-positive series so there is
-    no cancellation even where the two quantities agree to many digits.
-    The identity behind it: the connection formula at z -> -inf reduces, on
-    this parameter family, to exactly two terms, and the subsidiary series
-    Pfaff-transforms to argument 1/(1-z) in [0, 1) with positive terms.
+    for b > 1/2 and z < 0, scalar or array z.  It is the leading term times
+    the regularized incomplete beta I(1/(1-z); b-1/2, 1/2), so there is no
+    cancellation even where the two quantities agree to many digits.
     """
     if not b > 0.5:
         raise ValueError(f"tail remainder requires b > 1/2, got b={b}")
-    if not z < 0.0:
+    s = -np.asarray(z, dtype=float)
+    if not np.all(s > 0.0):
         raise ValueError(f"tail remainder requires z < 0, got z={z}")
-    log_prefactor = -b * math.log1p(-z)
-    if log_prefactor < -745.0:
-        return 0.0
-    w = 1.0 / (1.0 - z)
-    return math.exp(log_prefactor) * _ratio_series(b, w) / (2.0 * b - 1.0)
+    out = _leading_term(b, s) * betainc(b - 0.5, 0.5, 1.0 / (1.0 + s))
+    return out if out.ndim else float(out)
 
 
-def hyp2f1(args: Hyp2F1Args) -> float:
-    """Evaluate 2F1(a, b; c; z) for z <= 0.
+def hyp2f1(args: Hyp2F1Args):
+    """Evaluate 2F1(1/2, b; 3/2; z) for b > 1/2 and z <= 0; scalar or array z.
 
-    For small |z| the direct Taylor series is summed.  Outside its safe
-    region (|z| > 0.9, or b|z| large enough that the alternating terms lose
-    float64 digits) the evaluation switches to the two-term connection
-    formula of the a = 1/2, c = 3/2 family; other parameter families are
-    rejected there since this artifact never produces them.
+    Only the CDF family a = 1/2, c = 3/2 is supported: it equals the
+    leading term times I(-z/(1-z); 1/2, b-1/2), and 1 at z = 0.
     """
-    a, b, c, z = args.a, args.b, args.c, args.z
-    if z > 0.0:
-        raise ValueError(f"hyp2f1 requires z <= 0, got z={z}")
-    if z == 0.0:
-        return 1.0
-    if abs(z) <= _DIRECT_Z_CUT and abs(b) * abs(z) <= _DIRECT_BZ_CUT:
-        return _series_2f1(a, b, c, z)
+    a, b, c = args.a, args.b, args.c
     if not (a == 0.5 and c == 1.5):
-        raise ValueError(
-            "outside the direct-series region only the CDF family "
-            f"a=1/2, c=3/2 is supported, got a={a}, c={c}"
-        )
+        raise ValueError(f"only the CDF family a=1/2, c=3/2 is supported, got a={a}, c={c}")
     if not b > 0.5:
         raise ValueError(f"CDF family requires b > 1/2, got b={b}")
-    return _leading_term(b, z) - hyp2f1_tail_remainder(b, z)
+    s = -np.asarray(args.z, dtype=float)
+    if np.any(s < 0.0):
+        raise ValueError(f"hyp2f1 requires z <= 0, got z={args.z}")
+    out = np.ones_like(s)
+    pos = s > 0.0
+    sp = s[pos]
+    out[pos] = _leading_term(b, sp) * betainc(0.5, b - 0.5, sp / (1.0 + sp))
+    return out if out.ndim else float(out)

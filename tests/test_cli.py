@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 
 import qgfit
 from qgfit import cli
+from qgfit.estimation import Q_BOUNDS
 from qgfit.qgaussian import QGaussianParams, ccdf_abs
 from qgfit.returns import EmpiricalCCDF, write_ccdf_csv
 
@@ -141,6 +143,15 @@ class TestSynth:
         out = tmp_path / "o"
         assert run("synth", "--q", q, "--beta", 1, "--n", 100_000, "--seed", 1, "--out", out) == 3
         assert f"q={q}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flattened_walk_is_numerical_error(self, tmp_path, capsys):
+        # the rescale to float64 range leaves most increments below the
+        # resolution of the price, so the walk would repeat prices
+        out = tmp_path / "o"
+        assert run("synth", "--q", 2.9, "--beta", 1, "--n", 100_000, "--seed", 1, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "q=2.9" in err and "equal to the one before" in err
         assert not out.exists()
 
     def test_out_under_regular_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
@@ -383,6 +394,19 @@ def write_walk(path, n=2000, bad=None):
         encoding="utf-8",
     )
     return path
+
+
+class TestSearchBoxEdge:
+    def test_pinned_fit_warns(self, tmp_path, capsys):
+        # Gaussian increments have no heavy tail, so some scales end on q = 1.01
+        path = write_walk(tmp_path / "walk.csv", n=20_000)
+        out = tmp_path / "o"
+        assert run("fit", "--input", path, "--dt", "1,4,16,64", "--out", out) == 0
+        warned = re.findall(r"fit at dt=(\d+) ended on the search-box edge", capsys.readouterr().err)
+        fits = json.loads((out / "fits.json").read_text())
+        pinned = [str(f["dt"]) for f in fits if abs(f["q"] - Q_BOUNDS[0]) <= 1e-6 * Q_BOUNDS[0]]
+        assert pinned
+        assert warned == pinned
 
 
 class TestBadInputExitCodes:

@@ -19,6 +19,88 @@ from qgfit.qgaussian import (
 )
 
 
+# P(|X| > x) at x = 1e-2, 1e-1, ..., 1e4, frozen from the closed form
+# 1 - 2 A x 2F1(1/2, 1/(q-1); 3/2; -beta(q-1)x^2) at 360 digits
+# (tests/oracles.py::qgaussian_ccdf_abs; run it as a script to regenerate).
+# 0.0 marks a value that underflows float64.
+CCDF_XS = np.array([1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4])
+CCDF_FLOOR = 1e-300
+CCDF_FROZEN = {
+    (1.01, 1e-3): [
+        0.9996445152362214, 0.9964451640931764, 0.9644633683401943, 0.6560142250988523,
+        1.363511245953138e-05, 1.425201585596036e-105, 1.618050598385351e-300,
+    ],
+    (1.01, 1): [
+        0.9887589590575167, 0.887959424773852, 0.15990216527458284, 8.868774841835848e-32,
+        2.1092609917602774e-201, 0.0, 0.0,
+    ],
+    (1.01, 1e3): [
+        0.6560142250988523, 1.3635112459531368e-05, 1.4252015855960388e-105, 1.6180505983853543e-300,
+        0.0, 0.0, 0.0,
+    ],
+    (1.05, 1e-3): [
+        0.9996499148263203, 0.9964991598159773, 0.9650031472963249, 0.6612261476029363,
+        7.749036642707974e-05, 6.457942416278237e-35, 9.376845639029319e-74,
+    ],
+    (1.05, 1): [
+        0.9889297034027057, 0.8896612067261056, 0.1704843846560817, 9.271942594149221e-17,
+        2.865504847619629e-54, 2.9753893018034756e-93, 2.9765102799587916e-132,
+    ],
+    (1.05, 1e3): [
+        0.6612261476029363, 7.749036642707968e-05, 6.457942416278239e-35, 9.376845639029323e-74,
+        9.412229646936554e-113, 9.41258419587836e-152, 9.412587741439527e-191,
+    ],
+    (1.5, 1e-3): [
+        0.9997152949921233, 0.9971529593164559, 0.9715389841620158, 0.72437748611315,
+        0.03046629166217099, 3.786975819890242e-05, 3.795975794571609e-08,
+    ],
+    (1.5, 1): [
+        0.9909971369303635, 0.9102671297482567, 0.3080680092503574, 0.0011722164447168866,
+        1.2001337153781453e-06, 1.2004188738701033e-09, 1.20042172606602e-12,
+    ],
+    (1.5, 1e3): [
+        0.72437748611315, 0.030466291662170988, 3.786975819890242e-05, 3.795975794571609e-08,
+        3.796065987169084e-11, 3.7960668891143837e-14, 3.7960668981338386e-17,
+    ],
+    (2.0, 1e-3): [
+        0.9997986831582926, 0.9979868382263418, 0.9798750216963559, 0.8050177709578633,
+        0.19498222904213663, 0.02012497830364413, 0.0020131617736581305,
+    ],
+    (2.0, 1): [
+        0.9936340144701835, 0.9365489651388929, 0.5, 0.06345103486110713,
+        0.00636598552981651, 0.0006366195601611178, 6.366197702455154e-05,
+    ],
+    (2.0, 1e3): [
+        0.8050177709578633, 0.19498222904213663, 0.020124978303644132, 0.0020131617736581305,
+        0.00020131684170738692, 2.0131684835084252e-05, 2.0131684841727707e-06,
+    ],
+    (2.5, 1e-3): [
+        0.9998936862815716, 0.998936866324042, 0.9893721689381964, 0.8969871671804789,
+        0.5211506835188484, 0.24338221424206313, 0.11297511594540902,
+    ],
+    (2.5, 1): [
+        0.9966381769764777, 0.9664918811426467, 0.7313578006800507, 0.35703275690004893,
+        0.16582384490452504, 0.07696909447670855, 0.03572589119126451,
+    ],
+    (2.5, 1e3): [
+        0.8969871671804789, 0.5211506835188484, 0.24338221424206313, 0.11297511594540902,
+        0.05243843662603559, 0.02433976634254463, 0.011297518767540059,
+    ],
+    (2.95, 1e-3): [
+        0.9999888737393406, 0.9998887377605693, 0.9988877444444971, 0.9892151749346714,
+        0.9456181247325753, 0.8916926144687773, 0.8405732689966865,
+    ],
+    (2.95, 1): [
+        0.9996481684600984, 0.9964931928404359, 0.9715205061694538, 0.9183805944211805,
+        0.8657568922480242, 0.816121981081682, 0.7693324496294544,
+    ],
+    (2.95, 1e3): [
+        0.9892151749346714, 0.9456181247325753, 0.8916926144687773, 0.8405732689966865,
+        0.7923819310124485, 0.7469534510170001, 0.7041294557174891,
+    ],
+}
+
+
 class TestParams:
     @pytest.mark.parametrize("q", [1.0, 3.0, 0.5, 3.5])
     def test_q_out_of_range(self, q):
@@ -154,6 +236,17 @@ class TestCcdfAbs:
         split = beta * (3.0 - q) * x * x
         assert np.any((x > 0.0) & (split <= 1.0)) and np.any(split > 1.0)
         assert np.array_equal(ccdf_abs(p, x), [ccdf_abs(p, float(v)) for v in x])
+
+    @pytest.mark.parametrize("q,beta", list(CCDF_FROZEN))
+    def test_matches_oracle(self, q, beta):
+        expected = np.array(CCDF_FROZEN[q, beta])
+        got = ccdf_abs(QGaussianParams(q, beta), CCDF_XS)
+        above = expected > CCDF_FLOOR
+        assert np.all(np.abs(got[above] - expected[above]) <= 1e-12 * expected[above])
+        assert np.all(got[~above] <= CCDF_FLOOR)
+
+    def test_scalar_returns_float(self):
+        assert type(ccdf_abs(QGaussianParams(1.5, 1.0), 2.0)) is float
 
     def test_rejects_nonzero_mu(self):
         with pytest.raises(ValueError):

@@ -2,13 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from qgfit.special import (
     Hyp2F1Args,
-    NonConvergenceError,
     _leading_term,
-    _series_2f1,
     gamma_ratio,
     hyp2f1,
     hyp2f1_tail_remainder,
@@ -95,11 +94,11 @@ class TestHyp2F1:
     @pytest.mark.parametrize("b", [0.75, 1.0, 2.0, 3.3, 5.0])
     @pytest.mark.parametrize("z", [-0.55, -0.7, -0.85, -0.99])
     def test_transformation_consistency(self, b, z):
-        # Direct summation and the transformed large-|z| path must agree on
-        # the overlap region z in (-1, -0.5).
-        direct = _series_2f1(0.5, b, 1.5, z)
-        transformed = _leading_term(b, z) - hyp2f1_tail_remainder(b, z)
-        assert transformed == pytest.approx(direct, rel=1e-9)
+        # The two incomplete-beta forms that ccdf_abs uses on either side of
+        # its split are complementary: 2F1 = leading term - tail remainder.
+        direct = hyp2f1(Hyp2F1Args(0.5, b, 1.5, z))
+        transformed = _leading_term(b, -z) - hyp2f1_tail_remainder(b, z)
+        assert transformed == pytest.approx(direct, rel=1e-12)
 
     def test_arctan_closed_form_far_tail(self):
         # Same identity deep in the tail exercises the transformed branch.
@@ -119,11 +118,17 @@ class TestHyp2F1:
         with pytest.raises(ValueError):
             hyp2f1(Hyp2F1Args(0.25, 1.0, 1.75, -50.0))
 
-    def test_nonconvergence_reported(self):
-        # q -> 1 sliver: huge b with tiny |z| pushes the subsidiary series
-        # past the iteration cap instead of returning a wrong value.
-        with pytest.raises(NonConvergenceError):
-            hyp2f1(Hyp2F1Args(0.5, 1e5, 1.5, -1e-4))
+    @pytest.mark.parametrize("z", [-1e-3, -0.25])
+    def test_rejects_non_family(self, z):
+        with pytest.raises(ValueError):
+            hyp2f1(Hyp2F1Args(0.25, 1.0, 1.75, z))
+
+    def test_array_equals_scalar_calls(self):
+        zs = np.array([0.0, -1e-6, -0.3, -4.0, -1e4])
+        got = hyp2f1(Hyp2F1Args(0.5, 2.5, 1.5, zs))
+        assert np.array_equal(got, [hyp2f1(Hyp2F1Args(0.5, 2.5, 1.5, float(z))) for z in zs])
+        tail = hyp2f1_tail_remainder(2.5, zs[1:])
+        assert np.array_equal(tail, [hyp2f1_tail_remainder(2.5, float(z)) for z in zs[1:]])
 
     def test_tail_remainder_positive(self):
         for b in [0.51, 1.0, 3.0]:
