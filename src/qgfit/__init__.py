@@ -29,10 +29,7 @@ from .qgaussian import (
 from .returns import (
     EmpiricalCCDF,
     GridSpec,
-    NormalizedReturns,
     PriceSeries,
-    ReturnSeries,
-    ccdf_of_samples,
     empirical_ccdf,
     log_returns,
     normalize,
@@ -65,10 +62,7 @@ __all__ = [
     "tail_to_q",
     "EmpiricalCCDF",
     "GridSpec",
-    "NormalizedReturns",
     "PriceSeries",
-    "ReturnSeries",
-    "ccdf_of_samples",
     "empirical_ccdf",
     "log_returns",
     "normalize",

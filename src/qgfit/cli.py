@@ -33,7 +33,6 @@ from .returns import (
     DegenerateSeriesError,
     GridSpec,
     PriceDataError,
-    capped_grid,
     empirical_ccdf,
     log_returns,
     normalize,
@@ -87,11 +86,11 @@ class RunConfig:
     format: str
 
     def __post_init__(self):
-        if self.dt_ladder and not all(
-            a < b for a, b in zip(self.dt_ladder, self.dt_ladder[1:])
-        ):
+        if not self.dt_ladder:
+            raise UsageError("--dt needs at least one time scale")
+        if not all(a < b for a, b in zip(self.dt_ladder, self.dt_ladder[1:])):
             raise UsageError("--dt values must be strictly increasing")
-        if self.dt_ladder and self.dt_ladder[0] < 1:
+        if self.dt_ladder[0] < 1:
             raise UsageError("--dt values must be positive")
         if self.grid.count < 8:
             raise UsageError("--grid-count must be at least 8")
@@ -278,7 +277,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     curves = []
     for dt in config.dt_ladder:
         pooled = pool([normalize(log_returns(s, dt)) for s in series])
-        ccdf = empirical_ccdf(pooled, capped_grid(pooled.values, config.grid))
+        ccdf = empirical_ccdf(pooled, dt, config.grid)
+        del pooled  # not held while this scale is fitted and the next one built
         fit = fit_qgaussian_ccdf(ccdf)
         if not fit.converged:
             print(f"warning: fit at dt={dt} did not converge", file=sys.stderr)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from .qgaussian import QGaussianParams, ccdf_abs, tail_to_q
+from .qgaussian import QGaussianParams, TailExponent, ccdf_abs, tail_to_q
 from .returns import EmpiricalCCDF
 
 __all__ = [
@@ -198,8 +198,6 @@ def estimate_tail_exponent(ccdf: EmpiricalCCDF, tail_fraction: float = DEFAULT_T
     the exact exponent relation this yields a q estimate independent of the
     least-squares fit.
     """
-    from .qgaussian import TailExponent
-
     if not 0.0 < tail_fraction < 1.0:
         raise ValueError(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
     k = math.ceil(tail_fraction * len(ccdf))

@@ -67,22 +67,19 @@ class TailExponent:
 def exp_q(q: float, x):
     """Deformed exponential [1 + (1-q)x]_+^(1/(1-q)); plain exp at q = 1.
 
-    Accepts scalars or numpy arrays.  The positive-part cutoff applies
-    where 1 + (1-q)x <= 0 (only reachable for q < 1 on negative-kernel
-    arguments, or q > 1 on positive ones).
+    Accepts scalars or numpy arrays; a scalar x returns a float.  The
+    positive-part cutoff applies where 1 + (1-q)x <= 0 (only reachable for
+    q < 1 on negative-kernel arguments, or q > 1 on positive ones).
     """
+    x = np.asarray(x, dtype=float)
     if q == 1.0:
-        return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
-    if isinstance(x, np.ndarray):
+        out = np.exp(x)
+    else:
         base = 1.0 + (1.0 - q) * x
-        out = np.zeros_like(base, dtype=float)
+        out = np.zeros_like(base)
         pos = base > 0.0
         out[pos] = base[pos] ** (1.0 / (1.0 - q))
-        return out
-    base = 1.0 + (1.0 - q) * x
-    if base <= 0.0:
-        return 0.0
-    return base ** (1.0 / (1.0 - q))
+    return out if out.ndim else float(out)
 
 
 def normalization(params: QGaussianParams) -> float:
@@ -100,14 +97,11 @@ def normalization(params: QGaussianParams) -> float:
 def pdf(params: QGaussianParams, x):
     """Density A(q, beta) exp_q(-beta (x - mu)^2); scalar or array x.
 
-    Strictly positive everywhere for q > 1 and symmetric about mu.
+    Strictly positive everywhere for q > 1 and symmetric about mu.  A scalar
+    x returns a float.
     """
-    amp = normalization(params)
-    if isinstance(x, np.ndarray):
-        d = x - params.mu
-        return amp * exp_q(params.q, -params.beta * d * d)
-    d = float(x) - params.mu
-    return amp * exp_q(params.q, -params.beta * d * d)
+    d = np.asarray(x, dtype=float) - params.mu
+    return normalization(params) * exp_q(params.q, -params.beta * d * d)
 
 
 def ccdf_abs(params: QGaussianParams, x):

@@ -9,7 +9,6 @@ the exceedance curve back into a density.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,34 +19,29 @@ __all__ = [
     "DegenerateSeriesError",
     "PriceDataError",
     "PriceSeries",
-    "ReturnSeries",
-    "NormalizedReturns",
     "EmpiricalCCDF",
     "GridSpec",
-    "capped_grid",
     "log_returns",
     "normalize",
     "pool",
     "empirical_ccdf",
-    "ccdf_of_samples",
     "numerical_pdf",
     "read_price_csv",
     "read_ccdf_csv",
-    "write_ccdf_csv",
-    "write_ccdf_json",
 ]
-
-# Normalized returns must be centered and scaled to this accuracy.
-_NORMALIZATION_TOL = 1e-12
 
 # Unless the grid maximum is given, fitting grids stop where fewer than this
 # many observations exceed the threshold; beyond that the empirical curve is
 # order-statistic noise that would distort the log-space least squares.
 MIN_TAIL_EXCEEDANCES = 100
 
+# Returns whose sd is at most this fraction of their mean are constant up to
+# rounding (a steady growth, say): centering them leaves only rounding noise.
+_MIN_RELATIVE_VOL = float(np.sqrt(np.finfo(float).eps))
+
 
 class DegenerateSeriesError(ValueError):
-    """Raised when a return series has zero variance and cannot be normalized."""
+    """Raised when a return series has zero variance, up to rounding, and cannot be normalized."""
 
 
 class PriceDataError(ValueError):
@@ -86,45 +80,6 @@ class PriceSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class ReturnSeries:
-    """Log returns over a fixed window of dt ticks."""
-
-    dt: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.dt < 1:
-            raise ValueError(f"dt must be a positive integer, got {self.dt}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizedReturns:
-    """Returns centered by their time average and scaled to unit variance."""
-
-    dt: int
-    values: np.ndarray
-    mean_removed: float
-    volatility: float
-    span: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.volatility <= 0.0:
-            raise ValueError("volatility must be positive")
-        if abs(float(np.mean(self.values))) > _NORMALIZATION_TOL:
-            raise ValueError("normalized returns must have zero mean")
-        if abs(float(np.std(self.values)) - 1.0) > _NORMALIZATION_TOL:
-            raise ValueError("normalized returns must have unit standard deviation")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True, eq=False)
 class EmpiricalCCDF:
     """Exceedance probabilities P(|r| > x_i) on an increasing threshold grid."""
 
@@ -157,7 +112,13 @@ class EmpiricalCCDF:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Logarithmically spaced threshold grid; max defaults to the sample maximum."""
+    """Logarithmically spaced threshold grid from `min` to `max`.
+
+    Without a `max`, `empirical_ccdf` tops the grid at the
+    MIN_TAIL_EXCEEDANCES-th largest |value| of a sample of more than ten times
+    that many values, and at the sample maximum for a smaller sample or when
+    that cap is not above `min`.
+    """
 
     min: float = 1e-2
     max: float | None = None
@@ -172,12 +133,12 @@ class GridSpec:
             raise ValueError(f"grid maximum {self.max} must exceed minimum {self.min}")
 
 
-def log_returns(series: PriceSeries, dt: int) -> ReturnSeries:
+def log_returns(series: PriceSeries, dt: int) -> np.ndarray:
     """Log returns ln W(t+dt) - ln W(t) over every pair exactly dt ticks apart.
 
     Gaps in the tick grid simply yield fewer return observations; nothing is
     interpolated.  Uses the exact log form, not the relative-difference
-    approximation.
+    approximation.  The result is a fresh array.
     """
     if dt < 1:
         raise ValueError(f"dt must be a positive integer, got {dt}")
@@ -187,93 +148,69 @@ def log_returns(series: PriceSeries, dt: int) -> ReturnSeries:
     logw = series.log_values
     if ts[-1] - ts[0] == len(ts) - 1:
         # strictly increasing and no gaps: the pair of tick i is tick i + dt
-        return ReturnSeries(dt=dt, values=logw[dt:] - logw[:-dt])
+        return logw[dt:] - logw[:-dt]
     target = ts + dt
     idx = np.searchsorted(ts, target)
     ok = idx < len(ts)
     ok[ok] &= ts[idx[ok]] == target[ok]
-    return ReturnSeries(dt=dt, values=logw[idx[ok]] - logw[ok])
+    return logw[idx[ok]] - logw[ok]
 
 
-def normalize(returns: ReturnSeries) -> NormalizedReturns:
+def normalize(values: np.ndarray) -> np.ndarray:
     """Center by the time-average and scale by the volatility (population sd).
 
-    The population convention makes the transform exactly idempotent.
+    Works in place on a float64 array and returns it; any other input is
+    first converted to a new float64 array.  The population convention makes
+    the transform idempotent up to rounding.  Returns with zero variance, or
+    with an sd at most sqrt(eps) of their mean, raise DegenerateSeriesError.
     """
-    if len(returns) < 2:
+    values = np.asarray(values, dtype=float)
+    if len(values) < 2:
         raise ValueError("need at least 2 returns to normalize")
-    values = returns.values
     mean = float(np.mean(values))
     vol = float(np.std(values))
-    if vol == 0.0:
-        raise DegenerateSeriesError("returns have zero variance; cannot normalize")
-    scaled = values - mean
-    scaled /= vol
-    return NormalizedReturns(
-        dt=returns.dt,
-        values=scaled,
-        mean_removed=mean,
-        volatility=vol,
-        span=len(values),
-    )
+    if vol <= _MIN_RELATIVE_VOL * abs(mean):
+        raise DegenerateSeriesError(
+            "returns have zero variance (up to rounding of their mean); cannot normalize"
+        )
+    values -= mean
+    values /= vol
+    return values
 
 
-def pool(batches: list[NormalizedReturns]) -> NormalizedReturns:
+def pool(batches: list[np.ndarray]) -> np.ndarray:
     """Concatenate per-instrument normalized returns; one batch comes back as is.
 
     Every batch is centered and at unit variance, so their concatenation is
-    too, up to rounding that the `NormalizedReturns` contract checks.  A
-    second normalization would only move values by that rounding.
+    too, up to rounding; a second normalization would only move values by
+    that rounding.
     """
     if not batches:
         raise ValueError("cannot pool an empty collection")
-    dts = {b.dt for b in batches}
-    if len(dts) > 1:
-        raise ValueError(f"cannot pool across different dt values: {sorted(dts)}")
     if len(batches) == 1:
         return batches[0]
-    combined = np.concatenate([b.values for b in batches])
-    return NormalizedReturns(
-        dt=batches[0].dt, values=combined, mean_removed=0.0, volatility=1.0, span=len(combined)
-    )
+    return np.concatenate(batches)
 
 
-def capped_grid(values: np.ndarray, grid: GridSpec = GridSpec()) -> GridSpec:
-    """`grid` with its maximum set where MIN_TAIL_EXCEEDANCES values of |values| remain.
+def empirical_ccdf(values: np.ndarray, dt: int, grid: GridSpec = GridSpec()) -> EmpiricalCCDF:
+    """Exceedance probabilities of |values| on a log-spaced threshold grid.
 
-    A grid with an explicit maximum, a sample of at most ten times that many
-    values, or a cap not above the grid minimum is returned unchanged.
+    `|values|` is taken once and sorted, and the grid is capped as `GridSpec`
+    describes.  Thresholds whose exceedance count is zero are dropped, so the
+    stored probabilities are always positive.  `values` is left unchanged.
     """
-    n = len(values)
-    if grid.max is not None or n <= 10 * MIN_TAIL_EXCEEDANCES:
-        return grid
-    absr = np.abs(values)
-    absr.partition(n - MIN_TAIL_EXCEEDANCES)
-    cap = float(absr[n - MIN_TAIL_EXCEEDANCES])
-    if cap <= grid.min:
-        return grid
-    return GridSpec(min=grid.min, max=cap, count=grid.count)
-
-
-def empirical_ccdf(returns: NormalizedReturns, grid: GridSpec = GridSpec()) -> EmpiricalCCDF:
-    """Exceedance probabilities of |r| on a log-spaced threshold grid.
-
-    Thresholds whose exceedance count is zero are dropped, so the stored
-    probabilities are always positive.
-    """
-    if len(returns) == 0:
-        raise ValueError("cannot build a CCDF from an empty sample")
-    return ccdf_of_samples(returns.values, dt=returns.dt, grid=grid)
-
-
-def ccdf_of_samples(values: np.ndarray, dt: int, grid: GridSpec = GridSpec()) -> EmpiricalCCDF:
-    """Exceedance curve of |values| on the grid; works on raw draws too."""
     absr = np.abs(np.asarray(values, dtype=float))
     absr.sort()
     n = len(absr)
     if n == 0:
         raise ValueError("cannot build a CCDF from an empty sample")
-    top = grid.max if grid.max is not None else float(absr[-1])
+    top = grid.max
+    if top is None:
+        top = float(absr[-1])
+        if n > 10 * MIN_TAIL_EXCEEDANCES:
+            cap = float(absr[n - MIN_TAIL_EXCEEDANCES])
+            if cap > grid.min:
+                top = cap
     if top <= grid.min:
         raise ValueError(
             f"grid maximum {top} does not exceed grid minimum {grid.min}"
@@ -377,26 +314,3 @@ def read_ccdf_csv(path: str | Path, dt: int = 1) -> EmpiricalCCDF:
         return EmpiricalCCDF(dt=dt, thresholds=xs, probabilities=ps, n_samples=n_samples)
     except ValueError as exc:
         raise PriceDataError(f"{path}: {exc}") from exc
-
-
-def write_ccdf_csv(ccdf: EmpiricalCCDF, path: str | Path) -> None:
-    """Write the exceedance curve as CSV columns x, ccdf, n_samples."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "ccdf", "n_samples"])
-        for x, p in zip(ccdf.thresholds, ccdf.probabilities):
-            writer.writerow([f"{x:.12g}", f"{p:.12g}", ccdf.n_samples])
-
-
-def write_ccdf_json(ccdf: EmpiricalCCDF, path: str | Path, id: str) -> None:
-    """Write the exceedance curve as JSON, tagged with dt and instrument id."""
-    payload = {
-        "id": id,
-        "dt": ccdf.dt,
-        "n_samples": ccdf.n_samples,
-        "x": [float(v) for v in ccdf.thresholds],
-        "ccdf": [float(v) for v in ccdf.probabilities],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

@@ -20,7 +20,7 @@ from qgfit.estimation import (
     scaling_report,
 )
 from qgfit.qgaussian import QGaussianParams, ccdf_abs, pdf, sample, tail_to_q
-from qgfit.returns import EmpiricalCCDF, capped_grid, ccdf_of_samples
+from qgfit.returns import EmpiricalCCDF, empirical_ccdf
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -125,7 +125,7 @@ def test_criterion_6_synthetic_round_trip():
     worst_q = worst_beta = 0.0
     for seed in range(5):
         draws = sample(QGaussianParams(1.5, 1.5), 10**6, seed=seed)
-        ccdf = ccdf_of_samples(draws, dt=1, grid=capped_grid(draws))
+        ccdf = empirical_ccdf(draws, dt=1)
         fit = fit_qgaussian_ccdf(ccdf)
         worst_q = max(worst_q, abs(fit.q - 1.5))
         worst_beta = max(worst_beta, abs(fit.beta - 1.5))
@@ -174,7 +174,7 @@ def test_criterion_8_full_pipeline_property():
             for c in range(n_companies)
         ]
         pooled = np.concatenate(parts)
-        ccdf = ccdf_of_samples(pooled, dt=dt, grid=capped_grid(pooled))
+        ccdf = empirical_ccdf(pooled, dt=dt)
         fits.append(fit_qgaussian_ccdf(ccdf))
 
     qs = [f.q for f in fits]

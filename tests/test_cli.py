@@ -21,7 +21,6 @@ import qgfit
 from qgfit import cli
 from qgfit.estimation import Q_BOUNDS
 from qgfit.qgaussian import QGaussianParams, ccdf_abs
-from qgfit.returns import EmpiricalCCDF, write_ccdf_csv
 
 TABLE1_FIRST = "4,1.53,1.78"
 TABLE1_LAST = "780,1.35,1.03"
@@ -242,6 +241,19 @@ class TestFit:
         assert run("fit", "--input", path, "--dt", "1", "--out", tmp_path / "o") == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_steady_growth_rejected(self, tmp_path, capsys):
+        # log returns all 2e-4 up to rounding of the log prices
+        path = tmp_path / "growth.csv"
+        prices = 100.0 * np.exp(2e-4 * np.arange(5000))
+        path.write_text(
+            "timestamp,price\n" + "".join(f"{t},{p:.17g}\n" for t, p in enumerate(prices)),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert run("fit", "--input", path, "--dt", "1,4,16", "--out", out) == 2
+        assert "zero variance" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScaling:
     def test_bundled_table_exponents(self, tmp_path):
@@ -286,11 +298,12 @@ class TestPdfPlot:
     def model_ccdf_file(self, tmp_path):
         x = np.geomspace(0.05, 20.0, 300)
         params = QGaussianParams(1.53, 1.78)
-        ccdf = EmpiricalCCDF(
-            dt=4, thresholds=x, probabilities=ccdf_abs(params, x), n_samples=0
-        )
+        rows = zip(x.tolist(), ccdf_abs(params, x).tolist())
         path = tmp_path / "model_ccdf.csv"
-        write_ccdf_csv(ccdf, path)
+        path.write_text(
+            "x,ccdf,n_samples\n" + "".join(f"{v:.12g},{p:.12g},0\n" for v, p in rows),
+            encoding="utf-8",
+        )
         return path
 
     def test_numeric_matches_model(self, tmp_path, model_ccdf_file):
@@ -454,6 +467,21 @@ class TestBadInputExitCodes:
         err = capsys.readouterr().err
         assert "must be finite" in err
         assert str(path) in err
+
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_empty_dt_ladder_is_usage_error(self, tmp_path, capsys, spelling):
+        path = write_walk(tmp_path / "walk.csv")
+        out = tmp_path / "o"
+        argv = ["fit", "--input", str(path), "--out", str(out)]
+        if spelling == "flag":
+            argv += ["--dt", ","]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("dt=\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert cli.main(argv) == 1
+        assert "--dt" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_grid_min_is_usage_error(self, tmp_path, capsys):
         path = write_walk(tmp_path / "walk.csv")

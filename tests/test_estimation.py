@@ -17,7 +17,7 @@ from qgfit.estimation import (
     scaling_report,
 )
 from qgfit.qgaussian import QGaussianParams, ccdf_abs, sample, tail_to_q
-from qgfit.returns import EmpiricalCCDF, GridSpec, ccdf_of_samples
+from qgfit.returns import EmpiricalCCDF, GridSpec, empirical_ccdf
 
 
 def model_ccdf(q, beta, lo=1e-2, hi=1e2, n=60, dt=1):
@@ -52,7 +52,7 @@ class TestFitQGaussianCcdf:
         # order-statistic noise, so the grid stops there
         draws = sample(QGaussianParams(1.5, 1.5), 10**6, seed=0)
         top = float(np.sort(np.abs(draws))[-100])
-        ccdf = ccdf_of_samples(draws, dt=1, grid=GridSpec(min=1e-2, max=top, count=60))
+        ccdf = empirical_ccdf(draws, dt=1, grid=GridSpec(min=1e-2, max=top, count=60))
         fit = fit_qgaussian_ccdf(ccdf)
         assert fit.q == pytest.approx(1.5, abs=0.02)
         assert fit.beta == pytest.approx(1.5, abs=0.1)
@@ -66,7 +66,7 @@ class TestFitQGaussianCcdf:
         # the published (q, beta) must fit back to the published values
         draws = sample(QGaussianParams(1.53, 1.78), 10**6, seed=44)
         top = float(np.sort(np.abs(draws))[-100])
-        ccdf = ccdf_of_samples(draws, dt=4, grid=GridSpec(min=1e-2, max=top, count=60))
+        ccdf = empirical_ccdf(draws, dt=4, grid=GridSpec(min=1e-2, max=top, count=60))
         fit = fit_qgaussian_ccdf(ccdf)
         assert fit.dt == 4
         assert fit.q == pytest.approx(1.53, abs=0.02)

@@ -133,6 +133,17 @@ class TestExpQ:
         out = exp_q(2.0, xs)
         assert out == pytest.approx([1.0, 0.5, 1.0 / 101.0])
 
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 2.9])
+    def test_array_equals_scalar_calls(self, q):
+        # q = 1 is plain exp; q = 0.5 reaches the cutoff at x < -2 and
+        # q > 1 at x > 1/(q-1)
+        x = np.concatenate([-np.geomspace(1e3, 1e-3, 20), [0.0], np.geomspace(1e-3, 1e2, 20)])
+        if q != 1.0:
+            assert np.any(1.0 + (1.0 - q) * x <= 0.0)
+        scalar = [exp_q(q, float(v)) for v in x]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(exp_q(q, x), scalar)
+
 
 class TestNormalization:
     def test_gaussian_limit(self):
@@ -184,6 +195,14 @@ class TestPdf:
     def test_strictly_positive(self):
         p = QGaussianParams(1.2, 2.0)
         assert pdf(p, 1e6) > 0.0
+
+    @pytest.mark.parametrize("q,mu", [(1.01, 0.0), (1.53, 0.0), (2.0, -0.75), (2.9, 3.0)])
+    def test_array_equals_scalar_calls(self, q, mu):
+        p = QGaussianParams(q, 1.78, mu)
+        x = np.concatenate([-np.geomspace(1e4, 1e-3, 20), [0.0], np.geomspace(1e-3, 1e4, 20)])
+        scalar = [pdf(p, float(v)) for v in x]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(pdf(p, x), scalar)
 
 
 class TestCcdfAbs:

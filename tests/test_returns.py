@@ -1,11 +1,13 @@
 """Tests for the returns pipeline: log returns, normalization, CCDFs."""
 
 import csv
-import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qgfit.qgaussian import QGaussianParams, ccdf_abs, pdf, sample
 from qgfit.returns import (
@@ -14,16 +16,12 @@ from qgfit.returns import (
     GridSpec,
     PriceDataError,
     PriceSeries,
-    ReturnSeries,
-    ccdf_of_samples,
     empirical_ccdf,
     log_returns,
     normalize,
     numerical_pdf,
     pool,
     read_price_csv,
-    write_ccdf_csv,
-    write_ccdf_json,
 )
 
 
@@ -35,17 +33,17 @@ class TestLogReturns:
     def test_constant_series(self):
         r = log_returns(series_from_values([100.0] * 10), dt=1)
         assert len(r) == 9
-        assert r.values == pytest.approx(np.zeros(9), abs=1e-15)
+        assert r == pytest.approx(np.zeros(9), abs=1e-15)
 
     def test_exponential_growth(self):
         w = np.exp(0.01 * np.arange(50))
         r = log_returns(series_from_values(w), dt=5)
         assert len(r) == 45
-        assert r.values == pytest.approx(np.full(45, 0.05), rel=1e-12)
+        assert r == pytest.approx(np.full(45, 0.05), rel=1e-12)
 
     def test_two_point(self):
         r = log_returns(series_from_values([100.0, 101.0]), dt=1)
-        assert r.values[0] == pytest.approx(math.log(1.01))
+        assert r[0] == pytest.approx(math.log(1.01))
 
     def test_gap_skips_missing_pairs(self):
         # tick 2 missing: only (0 -> 2)-spaced pairs with both ends present count
@@ -53,12 +51,12 @@ class TestLogReturns:
         r = log_returns(s, dt=2)
         # pairs: (1 -> 3) and (..): t=0+2=2 missing, t=1+2=3 ok, t=3+2=5 missing
         assert len(r) == 1
-        assert r.values[0] == pytest.approx(math.log(4.0) - math.log(2.0))
+        assert r[0] == pytest.approx(math.log(4.0) - math.log(2.0))
 
     def test_scale_invariance(self):
         w = 100.0 + np.sin(np.arange(64) / 3.0) * 5.0
-        r1 = log_returns(series_from_values(w), dt=4).values
-        r2 = log_returns(series_from_values(w * 73.21), dt=4).values
+        r1 = log_returns(series_from_values(w), dt=4)
+        r2 = log_returns(series_from_values(w * 73.21), dt=4)
         assert r1 == pytest.approx(r2, abs=1e-12)
 
     def test_dt_too_large(self):
@@ -84,63 +82,65 @@ class TestLogReturns:
             idx = np.searchsorted(ts, ts + dt)
             ok = idx < len(ts)
             ok[ok] &= ts[idx[ok]] == ts[ok] + dt
-            assert np.array_equal(log_returns(s, dt).values, logw[idx[ok]] - logw[ok])
+            assert np.array_equal(log_returns(s, dt), logw[idx[ok]] - logw[ok])
 
 
 class TestNormalize:
     def test_two_values(self):
-        out = normalize(ReturnSeries(dt=1, values=[1.0, 3.0]))
-        assert out.values == pytest.approx([-1.0, 1.0])
-        assert out.mean_removed == pytest.approx(2.0)
-        assert out.volatility == pytest.approx(1.0)
-        assert out.span == 2
+        values = np.array([1.0, 3.0])
+        out = normalize(values)
+        assert out == pytest.approx([-1.0, 1.0])
+        # mean 2 removed and volatility 1 divided out, in place
+        assert out is values
 
     def test_output_contract(self):
         rng = np.random.default_rng(3)
-        out = normalize(ReturnSeries(dt=2, values=rng.normal(5.0, 2.5, 1000)))
-        assert abs(np.mean(out.values)) < 1e-12
-        assert abs(np.std(out.values) - 1.0) < 1e-12
+        out = normalize(rng.normal(5.0, 2.5, 1000))
+        assert abs(np.mean(out)) < 1e-12
+        assert abs(np.std(out) - 1.0) < 1e-12
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
-        once = normalize(ReturnSeries(dt=1, values=rng.normal(0.1, 3.0, 500)))
-        twice = normalize(ReturnSeries(dt=1, values=once.values))
-        assert twice.values == pytest.approx(once.values, abs=1e-12)
+        once = normalize(rng.normal(0.1, 3.0, 500))
+        twice = normalize(once.copy())
+        assert twice == pytest.approx(once, abs=1e-12)
 
     def test_degenerate_input(self):
         with pytest.raises(DegenerateSeriesError):
-            normalize(ReturnSeries(dt=1, values=[0.0, 0.0, 0.0]))
+            normalize([0.0, 0.0, 0.0])
+
+    def test_constant_up_to_rounding(self):
+        # sd 2^-53 against a mean of 1: centering would give [0, 2], mean 1
+        with pytest.raises(DegenerateSeriesError):
+            normalize([1.0, 1.0 + 2.0**-52])
+
+    def test_too_short(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            normalize([1.0])
 
 
 class TestPool:
     def test_single_input_unchanged(self):
         rng = np.random.default_rng(5)
-        one = normalize(ReturnSeries(dt=4, values=rng.normal(0, 1, 400)))
+        one = normalize(rng.normal(0, 1, 400))
         assert pool([one]) is one
 
     def test_two_copies_double_n(self):
         rng = np.random.default_rng(6)
-        one = normalize(ReturnSeries(dt=4, values=rng.normal(0, 1, 300)))
+        one = normalize(rng.normal(0, 1, 300))
         pooled = pool([one, one])
-        assert pooled.span == 600
-        assert np.array_equal(pooled.values, np.concatenate([one.values, one.values]))
-        assert (pooled.mean_removed, pooled.volatility) == (0.0, 1.0)
-        assert abs(np.std(pooled.values) - 1.0) < 1e-12
+        assert len(pooled) == 600
+        assert np.array_equal(pooled, np.concatenate([one, one]))
+        assert abs(np.mean(pooled)) < 1e-12
+        assert abs(np.std(pooled) - 1.0) < 1e-12
 
     def test_mixed_shapes_rescaled(self):
         rng = np.random.default_rng(7)
-        a = normalize(ReturnSeries(dt=1, values=rng.normal(0, 1, 500)))
-        b = normalize(ReturnSeries(dt=1, values=rng.standard_t(5, 500)))
+        a = normalize(rng.normal(0, 1, 500))
+        b = normalize(rng.standard_t(5, 500))
         pooled = pool([a, b])
-        assert abs(np.mean(pooled.values)) < 1e-12
-        assert abs(np.std(pooled.values) - 1.0) < 1e-12
-
-    def test_mismatched_dt(self):
-        rng = np.random.default_rng(8)
-        a = normalize(ReturnSeries(dt=1, values=rng.normal(0, 1, 100)))
-        b = normalize(ReturnSeries(dt=2, values=rng.normal(0, 1, 100)))
-        with pytest.raises(ValueError):
-            pool([a, b])
+        assert abs(np.mean(pooled)) < 1e-12
+        assert abs(np.std(pooled) - 1.0) < 1e-12
 
     def test_empty(self):
         with pytest.raises(ValueError):
@@ -149,20 +149,20 @@ class TestPool:
 
 class TestEmpiricalCcdf:
     def test_counting(self):
-        ccdf = ccdf_of_samples(
+        ccdf = empirical_ccdf(
             np.array([0.5, 1.5, 2.5, 3.5]), dt=1, grid=GridSpec(min=1.0, max=3.0, count=3)
         )
         # thresholds 1.0, sqrt(3), 3.0 -> exceedance 3/4, 2/4, 1/4
         assert ccdf.probabilities == pytest.approx([0.75, 0.5, 0.25])
 
     def test_threshold_below_min(self):
-        ccdf = ccdf_of_samples(
+        ccdf = empirical_ccdf(
             np.array([2.0, 3.0, 4.0]), dt=1, grid=GridSpec(min=1.0, max=4.0, count=5)
         )
         assert ccdf.probabilities[0] == 1.0
 
     def test_zero_probability_dropped(self):
-        ccdf = ccdf_of_samples(
+        ccdf = empirical_ccdf(
             np.array([0.5, 1.0, 2.0]), dt=1, grid=GridSpec(min=0.1, max=10.0, count=24)
         )
         assert np.all(ccdf.probabilities > 0.0)
@@ -172,14 +172,14 @@ class TestEmpiricalCcdf:
         p = QGaussianParams(2.0, 1.0)
         n = 10**6
         draws = sample(p, n, seed=13)
-        ccdf = ccdf_of_samples(draws, dt=1, grid=GridSpec(min=1.0, max=1.0001, count=2))
+        ccdf = empirical_ccdf(draws, dt=1, grid=GridSpec(min=1.0, max=1.0001, count=2))
         model = ccdf_abs(p, 1.0)
         band = 3.0 * math.sqrt(model * (1.0 - model) / n)
         assert abs(ccdf.probabilities[0] - model) <= band
 
     def test_monotone_for_any_input(self):
         rng = np.random.default_rng(9)
-        ccdf = ccdf_of_samples(rng.standard_t(3, 5000), dt=1)
+        ccdf = empirical_ccdf(rng.standard_t(3, 5000), dt=1)
         assert np.all(np.diff(ccdf.probabilities) <= 0.0)
 
     @pytest.mark.parametrize(
@@ -203,10 +203,95 @@ class TestEmpiricalCcdf:
 
     def test_deterministic(self):
         w = 100.0 * np.exp(np.cumsum(np.sin(np.arange(300)) * 0.01))
-        out1 = empirical_ccdf(normalize(log_returns(series_from_values(w), 2)))
-        out2 = empirical_ccdf(normalize(log_returns(series_from_values(w), 2)))
+        out1 = empirical_ccdf(normalize(log_returns(series_from_values(w), 2)), dt=2)
+        out2 = empirical_ccdf(normalize(log_returns(series_from_values(w), 2)), dt=2)
         assert np.array_equal(out1.thresholds, out2.thresholds)
         assert np.array_equal(out1.probabilities, out2.probabilities)
+
+
+def kept_grid(grid_min, top, absr, count=60):
+    """The log grid from grid_min to top, less the thresholds no |value| exceeds."""
+    grid = np.geomspace(grid_min, top, count)
+    return grid[grid < absr.max()]
+
+
+class TestGridCap:
+    """Without grid.max, a sample of n > 1000 tops the grid at sorted |r|[n - 100]."""
+
+    @staticmethod
+    def draws(n):
+        return np.random.default_rng(12).standard_t(3, n)
+
+    def test_1000_values_top_at_maximum(self):
+        values = self.draws(1000)
+        absr = np.abs(values)
+        ccdf = empirical_ccdf(values, dt=1)
+        assert np.array_equal(ccdf.thresholds, kept_grid(1e-2, absr.max(), absr))
+
+    def test_1001_values_top_at_order_statistic(self):
+        values = self.draws(1001)
+        cap = np.sort(np.abs(values))[1001 - 100]
+        ccdf = empirical_ccdf(values, dt=1)
+        assert np.array_equal(ccdf.thresholds, np.geomspace(1e-2, cap, 60))
+        assert ccdf.thresholds[-1] == cap
+        assert ccdf.probabilities[-1] == 99 / 1001
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0], ids=["at_min", "below_min"])
+    def test_cap_not_above_min_falls_back_to_maximum(self, factor):
+        values = self.draws(1001)
+        absr = np.abs(values)
+        grid_min = factor * np.sort(absr)[1001 - 100]
+        assert grid_min < absr.max()
+        ccdf = empirical_ccdf(values, dt=1, grid=GridSpec(min=grid_min))
+        assert np.array_equal(ccdf.thresholds, kept_grid(grid_min, absr.max(), absr))
+
+    @pytest.mark.parametrize("top", [0.5, 3.0, 1e3])
+    def test_explicit_max_never_moved(self, top):
+        values = self.draws(5000)
+        absr = np.abs(values)
+        ccdf = empirical_ccdf(values, dt=1, grid=GridSpec(max=top))
+        assert np.array_equal(ccdf.thresholds, kept_grid(1e-2, top, absr))
+
+
+# Returns with |r| <= 10, 2 to 2,000 of them, and a population sd of at least
+# 0.1.  Rounding in the mean is about 1e-15 of the largest |r| and is divided
+# by the sd: 2,000 values of mean 9.7 and sd 1e-3 normalize to a mean of 2e-12.
+RETURNS = arrays(
+    np.float64,
+    st.integers(2, 2000),
+    elements=st.floats(-10.0, 10.0, allow_subnormal=False),
+).filter(lambda r: np.std(r) >= 0.1)
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def assert_standardized(values):
+    assert abs(np.mean(values)) <= 1e-12
+    assert abs(np.std(values) - 1.0) <= 1e-12
+
+
+class TestProperties:
+    @PROPERTY
+    @given(RETURNS)
+    def test_normalize_standardizes_and_is_idempotent(self, r):
+        once = normalize(r)
+        assert_standardized(once)
+        twice = normalize(once.copy())
+        assert np.max(np.abs(twice - once)) <= 1e-12
+
+    @PROPERTY
+    @given(st.lists(RETURNS, min_size=1, max_size=5))
+    def test_pool_keeps_standardization(self, batches):
+        assert_standardized(pool([normalize(r) for r in batches]))
+
+    @PROPERTY
+    @given(RETURNS)
+    def test_ccdf_probabilities_in_unit_interval_and_non_increasing(self, r):
+        values = normalize(r)
+        before = values.copy()
+        p = empirical_ccdf(values, dt=1).probabilities
+        assert np.all((p > 0.0) & (p <= 1.0))
+        assert np.all(np.diff(p) <= 0.0)
+        assert np.array_equal(values, before)
 
 
 class TestNumericalPdf:
@@ -231,7 +316,7 @@ class TestNumericalPdf:
 
     def test_nonnegative(self):
         rng = np.random.default_rng(10)
-        ccdf = ccdf_of_samples(rng.standard_t(3, 2000), dt=1)
+        ccdf = empirical_ccdf(rng.standard_t(3, 2000), dt=1)
         _, dens = numerical_pdf(ccdf)
         assert np.all(dens >= 0.0)
 
@@ -255,7 +340,7 @@ class TestEndToEnd:
         logw = np.cumsum(0.05 * draws)
         prices = series_from_values(100.0 * np.exp(logw - logw.max()), id="walk")
         normed = normalize(log_returns(prices, dt=1))
-        ccdf = empirical_ccdf(normed, GridSpec(min=0.05, max=20.0, count=25))
+        ccdf = empirical_ccdf(normed, dt=1, grid=GridSpec(min=0.05, max=20.0, count=25))
         # normalized returns are the standardized draws, so the model is the
         # generator rescaled by the sample variance
         sd = float(np.std(draws))
@@ -338,25 +423,3 @@ class TestIO:
         path.write_text("timestamp,price\n0,1.0\n1,-3.0\n", encoding="utf-8")
         with pytest.raises(PriceDataError):
             read_price_csv(path)
-
-    def test_ccdf_csv(self, tmp_path):
-        ccdf = EmpiricalCCDF(
-            dt=4, thresholds=[0.1, 1.0], probabilities=[0.9, 0.2], n_samples=50
-        )
-        path = tmp_path / "ccdf.csv"
-        write_ccdf_csv(ccdf, path)
-        lines = path.read_text(encoding="utf-8").strip().splitlines()
-        assert lines[0] == "x,ccdf,n_samples"
-        assert lines[1].split(",") == ["0.1", "0.9", "50"]
-
-    def test_ccdf_json(self, tmp_path):
-        ccdf = EmpiricalCCDF(
-            dt=8, thresholds=[0.5, 2.0], probabilities=[0.7, 0.1], n_samples=10
-        )
-        path = tmp_path / "ccdf.json"
-        write_ccdf_json(ccdf, path, id="pooled")
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["dt"] == 8
-        assert payload["id"] == "pooled"
-        assert payload["x"] == pytest.approx([0.5, 2.0])
-        assert payload["n_samples"] == 10
