@@ -36,7 +36,7 @@ from .returns import (
     numerical_pdf,
     pool,
 )
-from .special import Hyp2F1Args, gamma_ratio, hyp2f1, ln_gamma
+from .special import gamma_ratio, hyp2f1
 
 __version__ = "0.1.0"
 
@@ -68,8 +68,6 @@ __all__ = [
     "normalize",
     "numerical_pdf",
     "pool",
-    "Hyp2F1Args",
     "gamma_ratio",
     "hyp2f1",
-    "ln_gamma",
 ]

@@ -19,8 +19,6 @@ import numpy as np
 
 from .datasets import DEFAULT_DT_LADDER, TABLE1_ROWS
 from .estimation import (
-    BETA_BOUNDS,
-    Q_BOUNDS,
     ScaleFitResult,
     fit_qgaussian_ccdf,
     load_scale_fits,
@@ -50,8 +48,6 @@ EXIT_NUMERICAL = 3
 # Largest half-range of log prices the synthetic walk may span before the
 # increments are rescaled to keep exp() inside float64.
 _MAX_LOG_PRICE_HALF_RANGE = 600.0
-# Relative distance from a search-box edge at which a fit counts as pinned.
-_BOX_EDGE_RTOL = 1e-6
 # Rows formatted into one string per write of synth.csv: the whole file is
 # never held as row strings.
 _SYNTH_BLOCK_ROWS = 4096
@@ -254,15 +250,6 @@ def _write_fit_curve(config: RunConfig, dt: int, ccdf, fitted: ScaleFitResult) -
         )
 
 
-def _on_box_edge(fit: ScaleFitResult) -> bool:
-    """True when q or beta lies within _BOX_EDGE_RTOL of a search-box edge."""
-    return any(
-        abs(value - edge) <= _BOX_EDGE_RTOL * edge
-        for value, bounds in ((fit.q, Q_BOUNDS), (fit.beta, BETA_BOUNDS))
-        for edge in bounds
-    )
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     if not config.inputs:
@@ -282,7 +269,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         fit = fit_qgaussian_ccdf(ccdf)
         if not fit.converged:
             print(f"warning: fit at dt={dt} did not converge", file=sys.stderr)
-        if _on_box_edge(fit):
+        if fit.at_bound:
             print(
                 f"warning: fit at dt={dt} ended on the search-box edge "
                 f"(q={fit.q:.6g}, beta={fit.beta:.6g})",

@@ -40,6 +40,8 @@ __all__ = [
 # Search box of the least-squares fit.
 Q_BOUNDS = (1.01, 2.99)
 BETA_BOUNDS = (1e-4, 1e4)
+# Relative distance from a search-box edge at which a fit counts as pinned.
+_BOX_EDGE_RTOL = 1e-6
 
 # Fraction of grid points (largest thresholds) used by the tail regression.
 DEFAULT_TAIL_FRACTION = 0.3
@@ -74,6 +76,15 @@ class ScaleFitResult:
         if not BETA_BOUNDS[0] <= self.beta <= BETA_BOUNDS[1]:
             raise ValueError(f"fitted beta={self.beta} escaped the search box")
 
+    @property
+    def at_bound(self) -> bool:
+        """True when q or beta lies within 1e-6 relative of a search-box edge."""
+        return any(
+            abs(value - edge) <= _BOX_EDGE_RTOL * edge
+            for value, bounds in ((self.q, Q_BOUNDS), (self.beta, BETA_BOUNDS))
+            for edge in bounds
+        )
+
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -100,46 +111,19 @@ class ScalingReport:
     delta_fit: PowerLawFit  # 1/beta against q - 1
 
 
-def _expit(u: float) -> float:
-    if u >= 0.0:
-        return 1.0 / (1.0 + math.exp(-u))
-    e = math.exp(u)
-    return e / (1.0 + e)
-
-
-def _logit(p: float) -> float:
-    return math.log(p / (1.0 - p))
-
-
-def _to_unbounded(q: float, beta: float) -> np.ndarray:
-    qlo, qhi = Q_BOUNDS
-    blo, bhi = BETA_BOUNDS
-    uq = _logit((q - qlo) / (qhi - qlo))
-    ub = _logit((math.log10(beta) - math.log10(blo)) / (math.log10(bhi) - math.log10(blo)))
-    return np.array([uq, ub])
-
-
-def _from_unbounded(u: np.ndarray) -> tuple[float, float]:
-    qlo, qhi = Q_BOUNDS
-    blo, bhi = BETA_BOUNDS
-    q = qlo + (qhi - qlo) * _expit(float(u[0]))
-    log_beta = math.log10(blo) + (math.log10(bhi) - math.log10(blo)) * _expit(float(u[1]))
-    return q, 10.0 ** log_beta
-
-
 def fit_qgaussian_ccdf(
     ccdf: EmpiricalCCDF, init: tuple[float, float] | None = None
 ) -> ScaleFitResult:
     """Least-squares fit of the model CCDF to an empirical exceedance curve.
 
-    Minimizes the sum of squared log10 residuals over the threshold grid
-    with a Nelder-Mead simplex in transformed coordinates (the logit map
-    keeps q and beta inside their boxes).  Each candidate (q, beta) costs one
-    `ccdf_abs` call on the whole grid, so the model and its normalization
-    are evaluated once per candidate, not once per grid point.  The search
-    restarts once from a perturbed optimum; the converged flag reports the
-    winning run's status.  Non-convergence is reported through the flag,
-    not raised.
+    Minimizes the sum of squared log10 residuals over the threshold grid in
+    (q, log10 beta) with one bounded L-BFGS-B run, whose box is `Q_BOUNDS`
+    and `BETA_BOUNDS`; a fit may end exactly on an edge (see
+    `ScaleFitResult.at_bound`).  Each candidate (q, beta) costs one
+    `ccdf_abs` call on the whole grid.  `init` is the starting (q, beta),
+    clipped into the box; by default q starts at the tail-slope estimate and
+    beta at 1.  Non-convergence is reported through the converged flag, not
+    raised.
     """
     if len(ccdf) < _MIN_FIT_POINTS:
         raise ValueError(f"need at least {_MIN_FIT_POINTS} CCDF points, got {len(ccdf)}")
@@ -147,38 +131,27 @@ def fit_qgaussian_ccdf(
         raise ValueError("all CCDF probabilities must be positive")
 
     xs = ccdf.thresholds
-    target = np.log10(ccdf.probabilities).tolist()
+    target = np.log10(ccdf.probabilities)
 
-    def objective(u: np.ndarray) -> float:
-        # A sequential Python sum in grid order fixes each fit's rounding;
-        # np.sum would add the terms pairwise and move fits by ulps.
-        model = ccdf_abs(QGaussianParams(*_from_unbounded(u)), xs)
-        total = 0.0
-        for m, t in zip(model.tolist(), target):
-            diff = math.log10(max(m, _LOG_FLOOR)) - t
-            total += diff * diff
-        return total
+    def objective(p: np.ndarray) -> float:
+        model = ccdf_abs(QGaussianParams(p[0], 10.0 ** p[1]), xs)
+        diff = np.log10(np.maximum(model, _LOG_FLOOR)) - target
+        return float(diff @ diff)
 
-    if init is None:
-        q0 = _default_q_init(ccdf)
-        beta0 = 1.0
-    else:
-        q0 = min(max(init[0], Q_BOUNDS[0] + 1e-6), Q_BOUNDS[1] - 1e-6)
-        beta0 = min(max(init[1], BETA_BOUNDS[0] * 1.001), BETA_BOUNDS[1] * 0.999)
+    q0, beta0 = (_default_q_init(ccdf), 1.0) if init is None else init
+    bounds = np.array([Q_BOUNDS, np.log10(BETA_BOUNDS)])
+    start = np.clip([q0, math.log10(beta0)], bounds[:, 0], bounds[:, 1])
+    options = {"ftol": 1e-12, "gtol": 1e-6, "maxfun": 6000}
+    result = minimize(objective, start, method="L-BFGS-B", bounds=bounds, options=options)
 
-    options = {"xatol": 1e-9, "fatol": 1e-10, "maxiter": 4000, "maxfev": 6000}
-    first = minimize(objective, _to_unbounded(q0, beta0), method="Nelder-Mead", options=options)
-    second = minimize(objective, first.x + 0.05, method="Nelder-Mead", options=options)
-    best = second if second.fun < first.fun else first
-
-    q_fit, beta_fit = _from_unbounded(best.x)
+    q_fit, log_beta = result.x
     return ScaleFitResult(
         dt=ccdf.dt,
-        q=q_fit,
-        beta=beta_fit,
-        residual=float(best.fun),
+        q=float(q_fit),
+        beta=10.0 ** float(log_beta),
+        residual=float(result.fun),
         n_points=len(ccdf),
-        converged=bool(best.success),
+        converged=bool(result.success),
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import Hyp2F1Args, gamma_ratio, hyp2f1, hyp2f1_tail_remainder
+from .special import gamma_ratio, hyp2f1, hyp2f1_tail_remainder
 
 __all__ = [
     "QGaussianParams",
@@ -124,7 +124,7 @@ def ccdf_abs(params: QGaussianParams, x):
     head = beta * (3.0 - q) * xs * xs <= 1.0
     tail = ~head
     out = np.empty_like(s)
-    out[head] = 1.0 - 2.0 * amp * xs[head] * hyp2f1(Hyp2F1Args(0.5, b, 1.5, -s[head]))
+    out[head] = 1.0 - 2.0 * amp * xs[head] * hyp2f1(b, -s[head])
     # Past that point the direct form suffers 1 - (1 - eps) cancellation, so
     # use the identity 1 - 2 A x * (leading term of 2F1) = 0: what is left is
     # the remainder, accurate to full relative precision arbitrarily far

@@ -1,4 +1,4 @@
-"""Log-gamma, gamma ratios, and the Gauss hypergeometric function.
+"""Gamma ratios and the Gauss hypergeometric function of the CDF family.
 
 The heavy-tail CDF family 2F1(1/2, b; 3/2; z) with b > 1/2 and z <= 0 is a
 regularized incomplete beta function.  With s = -z and the large-s leading
@@ -13,44 +13,15 @@ and both are evaluated over arrays of z by `scipy.special.betainc`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc
 
 __all__ = [
-    "Hyp2F1Args",
-    "ln_gamma",
     "gamma_ratio",
     "hyp2f1",
     "hyp2f1_tail_remainder",
 ]
-
-
-@dataclass(frozen=True)
-class Hyp2F1Args:
-    """Arguments (a, b; c; z) of the Gauss hypergeometric function.
-
-    The absolute-returns CDF generates the family a = 1/2, c = 3/2,
-    b > 1/2, z <= 0; that is the regime this module is built for.  z may be
-    a scalar or an array.
-    """
-
-    a: float
-    b: float
-    c: float
-    z: float | np.ndarray
-
-    def __post_init__(self):
-        if self.c <= 0.0 and self.c == math.floor(self.c):
-            raise ValueError(f"c must not be zero or a negative integer, got c={self.c}")
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0 (`math.lgamma`)."""
-    if not x > 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def gamma_ratio(p: float, r: float) -> float:
@@ -87,20 +58,17 @@ def hyp2f1_tail_remainder(b: float, z):
     return out if out.ndim else float(out)
 
 
-def hyp2f1(args: Hyp2F1Args):
+def hyp2f1(b: float, z):
     """Evaluate 2F1(1/2, b; 3/2; z) for b > 1/2 and z <= 0; scalar or array z.
 
-    Only the CDF family a = 1/2, c = 3/2 is supported: it equals the
-    leading term times I(-z/(1-z); 1/2, b-1/2), and 1 at z = 0.
+    This is the CDF family a = 1/2, c = 3/2: it equals the leading term
+    times I(-z/(1-z); 1/2, b-1/2), and 1 at z = 0.
     """
-    a, b, c = args.a, args.b, args.c
-    if not (a == 0.5 and c == 1.5):
-        raise ValueError(f"only the CDF family a=1/2, c=3/2 is supported, got a={a}, c={c}")
     if not b > 0.5:
         raise ValueError(f"CDF family requires b > 1/2, got b={b}")
-    s = -np.asarray(args.z, dtype=float)
+    s = -np.asarray(z, dtype=float)
     if np.any(s < 0.0):
-        raise ValueError(f"hyp2f1 requires z <= 0, got z={args.z}")
+        raise ValueError(f"hyp2f1 requires z <= 0, got z={z}")
     out = np.ones_like(s)
     pos = s > 0.0
     sp = s[pos]

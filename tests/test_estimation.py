@@ -41,6 +41,12 @@ class TestFitQGaussianCcdf:
         assert fit.q == pytest.approx(q, abs=1e-4)
         assert fit.beta == pytest.approx(beta, abs=1e-3)
 
+    def test_near_gaussian_narrow_curve(self):
+        # q near its floor with a large beta, fitted from the default start
+        fit = fit_qgaussian_ccdf(model_ccdf(1.02, 100.0))
+        assert fit.q == pytest.approx(1.02, abs=1e-4)
+        assert fit.beta == pytest.approx(100.0, rel=1e-3)
+
     def test_idempotent(self):
         first = fit_qgaussian_ccdf(model_ccdf(1.48, 1.52))
         second = fit_qgaussian_ccdf(model_ccdf(1.48, 1.52), init=(first.q, first.beta))
@@ -60,6 +66,12 @@ class TestFitQGaussianCcdf:
     def test_explicit_init_honored(self):
         fit = fit_qgaussian_ccdf(model_ccdf(1.53, 1.78), init=(2.5, 10.0))
         assert fit.q == pytest.approx(1.53, abs=1e-4)
+
+    @pytest.mark.parametrize("init", [(1.01, 1e-4), (2.99, 1e4)])
+    def test_corner_init_honored(self, init):
+        fit = fit_qgaussian_ccdf(model_ccdf(1.53, 1.78), init=init)
+        assert fit.q == pytest.approx(1.53, abs=1e-4)
+        assert fit.beta == pytest.approx(1.78, abs=1e-3)
 
     def test_bundled_dt4_parameters_recovered(self):
         # empirical pipeline at the shortest bundled scale: data generated at
@@ -212,6 +224,26 @@ class TestMonotonicityReproduction:
         betas = [f.beta for f in fits]
         assert all(a >= b for a, b in zip(qs, qs[1:]))
         assert all(a >= b for a, b in zip(betas, betas[1:]))
+
+
+class TestAtBound:
+    @pytest.mark.parametrize(
+        "q,beta,pinned",
+        [
+            (1.01, 1.0, True),
+            (2.99, 1.0, True),
+            (1.5, 1e-4, True),
+            (1.5, 1e4, True),
+            (1.5, 1.0, False),
+            (1.01 * (1 + 2e-6), 1.0, False),
+            (2.99 * (1 - 2e-6), 1.0, False),
+            (1.5, 1e-4 * (1 + 2e-6), False),
+            (1.5, 1e4 * (1 - 2e-6), False),
+        ],
+    )
+    def test_edges(self, q, beta, pinned):
+        fit = ScaleFitResult(dt=4, q=q, beta=beta, residual=0.0, n_points=0, converged=True)
+        assert fit.at_bound is pinned
 
 
 class TestSerialization:
