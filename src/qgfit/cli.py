@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,9 @@ _MAX_LOG_PRICE_HALF_RANGE = 600.0
 # Rows formatted into one string per write of synth.csv: the whole file is
 # never held as row strings.
 _SYNTH_BLOCK_ROWS = 4096
+# Keys a --config file may set: the long names of the shared flags.  Other
+# keys are ignored, so a file cannot set a command's own flags or `runner`.
+_CONFIG_KEYS = ("input", "dt", "grid-min", "grid-max", "grid-count", "out", "seed", "format")
 
 
 class UsageError(Exception):
@@ -62,6 +65,9 @@ class NumericalError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+
     # argparse exits with status 2 on bad flags; this tool reserves 2 for
     # data errors, so usage problems are remapped to 1.
     def error(self, message):
@@ -70,98 +76,62 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings of one invocation: flags over config file over defaults."""
-
-    inputs: tuple[str, ...]
-    dt_ladder: tuple[int, ...]
-    grid: GridSpec
-    out: Path
-    seed: int
-    format: str
-
-    def __post_init__(self):
-        if not self.dt_ladder:
-            raise UsageError("--dt needs at least one time scale")
-        if not all(a < b for a, b in zip(self.dt_ladder, self.dt_ladder[1:])):
-            raise UsageError("--dt values must be strictly increasing")
-        if self.dt_ladder[0] < 1:
-            raise UsageError("--dt values must be positive")
-        if self.grid.count < 8:
-            raise UsageError("--grid-count must be at least 8")
-        if self.format not in ("csv", "json"):
-            raise UsageError(f"--format must be csv or json, got {self.format}")
-
-
-def _parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _dt_ladder(text: str) -> tuple[int, ...]:
+    """Type of --dt: comma-separated ticks, at least 1 and strictly increasing."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(flag, key, default, cast):
-        if flag is not None:
-            return flag
-        if key in cfg:
-            try:
-                return cast(cfg[key])
-            except ValueError as exc:
-                raise UsageError(f"config key {key}: {exc}") from exc
-        return default
-
-    inputs = getattr(args, "input", None)
-    if inputs is None and "input" in cfg:
-        inputs = [p for p in cfg["input"].replace(",", " ").split() if p]
-    dt = pick(getattr(args, "dt", None), "dt", ",".join(map(str, DEFAULT_DT_LADDER)), str)
-    try:
-        ladder = tuple(int(part) for part in str(dt).split(",") if part != "")
+        ladder = tuple(int(part) for part in text.split(",") if part != "")
     except ValueError as exc:
-        raise UsageError(f"--dt expects a comma-separated integer list: {exc}") from exc
-    grid_min = pick(getattr(args, "grid_min", None), "grid-min", 1e-2, float)
-    grid_max = pick(getattr(args, "grid_max", None), "grid-max", None, float)
-    grid_count = pick(getattr(args, "grid_count", None), "grid-count", 60, int)
+        raise argparse.ArgumentTypeError(f"expects a comma-separated integer list: {exc}") from exc
+    if not ladder:
+        raise argparse.ArgumentTypeError("needs at least one time scale")
+    if not all(a < b for a, b in zip(ladder, ladder[1:])):
+        raise argparse.ArgumentTypeError("values must be strictly increasing")
+    if ladder[0] < 1:
+        raise argparse.ArgumentTypeError("values must be positive")
+    return ladder
+
+
+def _grid_count(text: str) -> int:
+    """Type of --grid-count: an integer of at least 8."""
     try:
-        grid = GridSpec(min=grid_min, max=grid_max, count=grid_count)
+        count = int(text)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return RunConfig(
-        inputs=tuple(inputs or ()),
-        dt_ladder=ladder,
-        grid=grid,
-        out=Path(pick(getattr(args, "out", None), "out", "out", str)),
-        seed=pick(getattr(args, "seed", None), "seed", 0, int),
-        format=pick(getattr(args, "format", None), "format", "csv", str),
-    )
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    if count < 8:
+        raise argparse.ArgumentTypeError(f"must be at least 8, got {count}")
+    return count
+
+
+def _plot_format(text: str) -> str:
+    """Type of --format.  argparse checks `choices` only on typed flags, not on defaults."""
+    if text not in ("csv", "json"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 'csv', 'json')")
+    return text
 
 
 def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
+    # String defaults pass through `type` like typed values, so a default
+    # read from --config is checked by the same function as a flag.
     sub.add_argument("--input", nargs="+", metavar="PATH", help="input CSV file(s)")
-    sub.add_argument("--dt", help="comma-separated ladder of time scales in ticks")
-    sub.add_argument("--grid-min", type=float, dest="grid_min", help="lowest threshold")
-    sub.add_argument("--grid-max", type=float, dest="grid_max", help="highest threshold")
-    sub.add_argument("--grid-count", type=int, dest="grid_count", help="grid points")
-    sub.add_argument("--out", help="output directory (default: out)")
-    sub.add_argument("--seed", type=int, help="random seed (default: 0)")
-    sub.add_argument("--format", choices=["csv", "json"], help="plot-file format")
-    sub.add_argument("--config", help="key=value config file; flags take precedence")
+    sub.add_argument(
+        "--dt",
+        type=_dt_ladder,
+        default=",".join(map(str, DEFAULT_DT_LADDER)),
+        help="comma-separated ladder of time scales in ticks",
+    )
+    sub.add_argument("--grid-min", type=float, default=GridSpec.min, help="lowest threshold")
+    sub.add_argument(
+        "--grid-max", type=float, help="highest threshold; none caps the grid by the sample"
+    )
+    sub.add_argument("--grid-count", type=_grid_count, default=GridSpec.count, help="grid points")
+    sub.add_argument("--out", type=Path, default="out", help="output directory")
+    sub.add_argument("--seed", type=int, default=0, help="random seed")
+    sub.add_argument("--format", type=_plot_format, default="csv", help="plot files: csv or json")
+    sub.add_argument("--config", help="key=value file of shared flags; flags take precedence")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The qgfit parser and its subcommand parsers by name."""
     parser = _Parser(prog="qgfit", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -187,13 +157,57 @@ def build_parser() -> argparse.ArgumentParser:
     p_pdf.add_argument("--beta", type=float, required=True)
     _add_shared_flags(p_pdf)
 
-    parser.set_defaults(runner=None)
     p_fit.set_defaults(runner=cmd_fit)
     p_scaling.set_defaults(runner=cmd_scaling)
     p_table.set_defaults(runner=cmd_table1)
     p_synth.set_defaults(runner=cmd_synth)
     p_pdf.set_defaults(runner=cmd_pdfplot)
-    return parser
+    return parser, subs.choices
+
+
+def _parse_config_file(path: str) -> dict[str, object]:
+    """Parser defaults, by flag dest, from the shared-flag keys of a key=value file.
+
+    `input` lists paths separated by commas or spaces; other values stay
+    strings for the flags' types to convert.
+    """
+    values: dict[str, object] = {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key == "input":
+            values["input"] = value.replace(",", " ").split()
+        elif key in _CONFIG_KEYS:
+            values[key.replace("-", "_")] = value
+    return values
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse argv with flags over the --config file over the parser defaults.
+
+    The file's values become defaults of the chosen subcommand and argv is
+    parsed again.  `args.grid` is the threshold grid, checked for every
+    command.
+    """
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        commands[args.command].set_defaults(**_parse_config_file(args.config))
+        args = parser.parse_args(argv)
+    try:
+        args.grid = GridSpec(min=args.grid_min, max=args.grid_max, count=args.grid_count)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return args
 
 
 def _check_out_dir(out: Path) -> None:
@@ -211,11 +225,14 @@ def _check_out_dir(out: Path) -> None:
         )
 
 
-def _make_out_dir(out: Path) -> None:
+@contextmanager
+def _writing_to(out: Path):
+    """Create `out` for a command's write phase; a failed write is a UsageError."""
     try:
         out.mkdir(parents=True, exist_ok=True)
+        yield
     except OSError as exc:
-        raise UsageError(f"cannot create output directory {out}: {exc}") from exc
+        raise UsageError(f"cannot write output under {out}: {exc}") from exc
 
 
 def _write_rows(path: Path, header: list[str], rows) -> None:
@@ -225,9 +242,9 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_fit_curve(config: RunConfig, dt: int, ccdf, fitted: ScaleFitResult) -> None:
+def _write_fit_curve(args, dt: int, ccdf, fitted: ScaleFitResult) -> None:
     model = ccdf_abs(QGaussianParams(fitted.q, fitted.beta), ccdf.thresholds).tolist()
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "id": "pooled",
             "dt": dt,
@@ -236,12 +253,12 @@ def _write_fit_curve(config: RunConfig, dt: int, ccdf, fitted: ScaleFitResult) -
             "ccdf_empirical": [float(v) for v in ccdf.probabilities],
             "ccdf_fitted": model,
         }
-        (config.out / f"ccdf_dt{dt}.json").write_text(
+        (args.out / f"ccdf_dt{dt}.json").write_text(
             json.dumps(payload, indent=2) + "\n", encoding="utf-8"
         )
     else:
         _write_rows(
-            config.out / f"ccdf_dt{dt}.csv",
+            args.out / f"ccdf_dt{dt}.csv",
             ["x", "ccdf_empirical", "ccdf_fitted"],
             (
                 (f"{x:.12g}", f"{p:.12g}", f"{m:.12g}")
@@ -251,20 +268,19 @@ def _write_fit_curve(config: RunConfig, dt: int, ccdf, fitted: ScaleFitResult) -
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    if not config.inputs:
+    if not args.input:
         raise UsageError("fit requires at least one --input file")
-    _check_out_dir(config.out)
-    missing = [p for p in config.inputs if not Path(p).is_file()]
+    _check_out_dir(args.out)
+    missing = [p for p in args.input if not Path(p).is_file()]
     if missing:
         raise PriceDataError(f"input file(s) not found: {', '.join(missing)}")
-    series = [read_price_csv(p) for p in config.inputs]
+    series = [read_price_csv(p) for p in args.input]
 
     fits: list[ScaleFitResult] = []
     curves = []
-    for dt in config.dt_ladder:
+    for dt in args.dt:
         pooled = pool([normalize(log_returns(s, dt)) for s in series])
-        ccdf = empirical_ccdf(pooled, dt, config.grid)
+        ccdf = empirical_ccdf(pooled, dt, args.grid)
         del pooled  # not held while this scale is fitted and the next one built
         fit = fit_qgaussian_ccdf(ccdf)
         if not fit.converged:
@@ -278,12 +294,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
         fits.append(fit)
         curves.append((dt, ccdf, fit))
 
-    _make_out_dir(config.out)
-    scale_fits_to_csv(fits, config.out / "table.csv")
-    scale_fits_to_json(fits, config.out / "fits.json")
-    for dt, ccdf, fit in curves:
-        _write_fit_curve(config, dt, ccdf, fit)
-    print(f"wrote {len(fits)} fits to {config.out}")
+    with _writing_to(args.out):
+        scale_fits_to_csv(fits, args.out / "table.csv")
+        scale_fits_to_json(fits, args.out / "fits.json")
+        for dt, ccdf, fit in curves:
+            _write_fit_curve(args, dt, ccdf, fit)
+    print(f"wrote {len(fits)} fits to {args.out}")
     return EXIT_OK
 
 
@@ -292,7 +308,6 @@ def _fitted_column(fit, xs) -> list[float]:
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
     fits_path = Path(args.fits)
     if not fits_path.is_file():
         raise PriceDataError(f"fits file not found: {fits_path}")
@@ -300,11 +315,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         fits = load_scale_fits(fits_path)
     except (ValueError, KeyError, TypeError) as exc:
         raise PriceDataError(f"cannot parse fits file {fits_path}: {exc}") from exc
-    if len(fits) < 3:
-        raise PriceDataError(f"scaling needs at least 3 fits, got {len(fits)}")
-
     report = scaling_report(fits)
-    _make_out_dir(config.out)
 
     def fit_dict(p):
         return {
@@ -314,55 +325,48 @@ def cmd_scaling(args: argparse.Namespace) -> int:
             "r_squared": p.r_squared,
         }
 
-    (config.out / "scaling.json").write_text(
-        json.dumps(
-            {
-                "tau_fit": fit_dict(report.tau_fit),
-                "gamma_fit": fit_dict(report.gamma_fit),
-                "delta_fit": fit_dict(report.delta_fit),
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
+    payload = {
+        "tau_fit": fit_dict(report.tau_fit),
+        "gamma_fit": fit_dict(report.gamma_fit),
+        "delta_fit": fit_dict(report.delta_fit),
+    }
     dts = [float(f.dt) for f in fits]
     q_excess = [f.q - 1.0 for f in fits]
     inv_beta = [1.0 / f.beta for f in fits]
-    _write_rows(
-        config.out / "scaling_q_vs_dt.csv",
-        ["dt", "q_minus_1", "fitted"],
-        zip(dts, q_excess, _fitted_column(report.tau_fit, dts)),
-    )
-    _write_rows(
-        config.out / "scaling_invbeta_vs_dt.csv",
-        ["dt", "inv_beta", "fitted"],
-        zip(dts, inv_beta, _fitted_column(report.gamma_fit, dts)),
-    )
-    _write_rows(
-        config.out / "scaling_invbeta_vs_q.csv",
-        ["q_minus_1", "inv_beta", "fitted"],
-        zip(q_excess, inv_beta, _fitted_column(report.delta_fit, q_excess)),
-    )
-    print(f"wrote scaling report to {config.out}")
+    with _writing_to(args.out):
+        text = json.dumps(payload, indent=2) + "\n"
+        (args.out / "scaling.json").write_text(text, encoding="utf-8")
+        _write_rows(
+            args.out / "scaling_q_vs_dt.csv",
+            ["dt", "q_minus_1", "fitted"],
+            zip(dts, q_excess, _fitted_column(report.tau_fit, dts)),
+        )
+        _write_rows(
+            args.out / "scaling_invbeta_vs_dt.csv",
+            ["dt", "inv_beta", "fitted"],
+            zip(dts, inv_beta, _fitted_column(report.gamma_fit, dts)),
+        )
+        _write_rows(
+            args.out / "scaling_invbeta_vs_q.csv",
+            ["q_minus_1", "inv_beta", "fitted"],
+            zip(q_excess, inv_beta, _fitted_column(report.delta_fit, q_excess)),
+        )
+    print(f"wrote scaling report to {args.out}")
     return EXIT_OK
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    _make_out_dir(config.out)
-    _write_rows(
-        config.out / "table1.csv",
-        ["dt", "q", "beta"],
-        ((dt, f"{q:.2f}", f"{beta:.2f}") for dt, q, beta in TABLE1_ROWS),
-    )
-    print(f"wrote {config.out / 'table1.csv'}")
+    with _writing_to(args.out):
+        _write_rows(
+            args.out / "table1.csv",
+            ["dt", "q", "beta"],
+            ((dt, f"{q:.2f}", f"{beta:.2f}") for dt, q, beta in TABLE1_ROWS),
+        )
+    print(f"wrote {args.out / 'table1.csv'}")
     return EXIT_OK
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
     if args.n < 2:
         raise UsageError(f"synth needs n >= 2 price samples, got {args.n}")
     try:
@@ -370,8 +374,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    _check_out_dir(config.out)
-    increments = sample(params, args.n - 1, seed=config.seed)
+    _check_out_dir(args.out)
+    increments = sample(params, args.n - 1, seed=args.seed)
     log_price = np.zeros(args.n)
     np.cumsum(increments, out=log_price[1:])
     half_range = 0.5 * (log_price.max() - log_price.min())
@@ -403,18 +407,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"the one before: the increments fall below float64's price resolution"
         )
 
-    _make_out_dir(config.out)
-    with open(config.out / "synth.csv", "w", newline="", encoding="utf-8") as fh:
+    path = args.out / "synth.csv"
+    with _writing_to(args.out), open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("timestamp,price\r\n")
         for start in range(0, args.n, _SYNTH_BLOCK_ROWS):
             block = prices[start : start + _SYNTH_BLOCK_ROWS].tolist()
             fh.write("".join(f"{t},{p:.17g}\r\n" for t, p in enumerate(block, start)))
-    print(f"wrote {config.out / 'synth.csv'}")
+    print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_pdfplot(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
     ccdf_path = Path(args.ccdf)
     if not ccdf_path.is_file():
         raise PriceDataError(f"CCDF file not found: {ccdf_path}")
@@ -425,27 +428,25 @@ def cmd_pdfplot(args: argparse.Namespace) -> int:
     ccdf = read_ccdf_csv(ccdf_path)
     xs, numeric = numerical_pdf(ccdf)
     model = 2.0 * pdf(params, xs)  # folded density of |r|
-    _make_out_dir(config.out)
-    _write_rows(
-        config.out / "pdfplot.csv",
-        ["x", "pdf_numeric", "pdf_model"],
-        (
-            (f"{x:.12g}", f"{n:.12g}", f"{m:.12g}")
-            for x, n, m in zip(xs, numeric, model)
-        ),
-    )
-    print(f"wrote {config.out / 'pdfplot.csv'}")
+    with _writing_to(args.out):
+        _write_rows(
+            args.out / "pdfplot.csv",
+            ["x", "pdf_numeric", "pdf_model"],
+            (
+                (f"{x:.12g}", f"{n:.12g}", f"{m:.12g}")
+                for x, n, m in zip(xs, numeric, model)
+            ),
+        )
+    print(f"wrote {args.out / 'pdfplot.csv'}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = parse_args(argv)
         return args.runner(args)
+    except SystemExit as exc:  # argparse: --help, or a usage error already printed
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"qgfit: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

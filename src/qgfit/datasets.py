@@ -27,7 +27,4 @@ DEFAULT_DT_LADDER: tuple[int, ...] = tuple(row[0] for row in TABLE1_ROWS)
 
 def table1_fits() -> list[ScaleFitResult]:
     """The bundled table as fit-result records usable by the scaling report."""
-    return [
-        ScaleFitResult(dt=dt, q=q, beta=beta, residual=0.0, n_points=0, converged=True)
-        for dt, q, beta in TABLE1_ROWS
-    ]
+    return [ScaleFitResult(dt, q, beta) for dt, q, beta in TABLE1_ROWS]

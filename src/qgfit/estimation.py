@@ -62,9 +62,10 @@ class ScaleFitResult:
     dt: int
     q: float
     beta: float
-    residual: float
-    n_points: int
-    converged: bool
+    # Placeholders for a fit read from a dt,q,beta table, which has no diagnostics.
+    residual: float = 0.0
+    n_points: int = 0
+    converged: bool = True
 
     def __post_init__(self):
         if not math.isfinite(self.residual):
@@ -141,7 +142,7 @@ def fit_qgaussian_ccdf(
     q0, beta0 = (_default_q_init(ccdf), 1.0) if init is None else init
     bounds = np.array([Q_BOUNDS, np.log10(BETA_BOUNDS)])
     start = np.clip([q0, math.log10(beta0)], bounds[:, 0], bounds[:, 1])
-    options = {"ftol": 1e-12, "gtol": 1e-6, "maxfun": 6000}
+    options = {"ftol": 1e-12, "gtol": 1e-5, "maxfun": 6000}
     result = minimize(objective, start, method="L-BFGS-B", bounds=bounds, options=options)
 
     q_fit, log_beta = result.x
@@ -259,37 +260,29 @@ def scale_fits_to_json(fits: list[ScaleFitResult], path: str | Path) -> None:
 
 
 def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
-    """Read fit results from a JSON file or a dt,q,beta CSV table."""
+    """Read fit results from a JSON file or a dt,q,beta CSV table.
+
+    Diagnostics a JSON object leaves out, and all of a CSV row's, take the
+    `ScaleFitResult` placeholders; other CSV columns are ignored.
+    """
     path = Path(path)
     if path.suffix.lower() == ".json":
         rows = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
             raise ValueError(f"{path}: expected a JSON list of objects with dt, q and beta")
-        return [
-            ScaleFitResult(
-                dt=int(r["dt"]),
-                q=float(r["q"]),
-                beta=float(r["beta"]),
-                residual=float(r.get("residual", 0.0)),
-                n_points=int(r.get("n_points", 0)),
-                converged=bool(r.get("converged", True)),
-            )
-            for r in rows
-        ]
-    fits = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"dt", "q", "beta"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns dt,q,beta, got {reader.fieldnames}")
-        for row in reader:
-            fits.append(
-                ScaleFitResult(
-                    dt=int(row["dt"]),
-                    q=float(row["q"]),
-                    beta=float(row["beta"]),
-                    residual=0.0,
-                    n_points=0,
-                    converged=True,
-                )
-            )
-    return fits
+    else:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or not {"dt", "q", "beta"} <= set(reader.fieldnames):
+                raise ValueError(f"{path}: expected columns dt,q,beta, got {reader.fieldnames}")
+            rows = [{"dt": r["dt"], "q": r["q"], "beta": r["beta"]} for r in reader]
+    diagnostics = (("residual", float), ("n_points", int), ("converged", bool))
+    return [
+        ScaleFitResult(
+            dt=int(r["dt"]),
+            q=float(r["q"]),
+            beta=float(r["beta"]),
+            **{name: cast(r[name]) for name, cast in diagnostics if name in r},
+        )
+        for r in rows
+    ]

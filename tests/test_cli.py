@@ -97,6 +97,11 @@ class TestTable1:
         run("table1", "--out", out)
         assert (out / "table1.csv").read_bytes() == first
 
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "table1.csv").mkdir()
+        assert run("table1", "--out", tmp_path) == 1
+        assert str(tmp_path / "table1.csv") in capsys.readouterr().err
+
 
 class TestSynth:
     def test_deterministic(self, tmp_path):
@@ -226,6 +231,25 @@ class TestFit:
         fits = json.loads((out / "fits.json").read_text())
         assert fits[0]["q"] == pytest.approx(1.5, abs=0.02)
 
+    def test_heavy_tail_walk_converges(self, tmp_path, capsys):
+        # the optimum's finite-difference gradient sits near 1.8e-6 here, which
+        # a gradient tolerance of 1e-6 reported as a failed fit
+        rng = np.random.default_rng(7)
+        rng.standard_normal(200_000)
+        rng.standard_t(3, 200_000)
+        prices = 100.0 * np.exp(np.cumsum(1e-3 * rng.standard_t(1.5, 200_000)))
+        path = tmp_path / "walk.csv"
+        path.write_text(
+            "timestamp,price\n" + "".join(f"{t},{p:.17g}\n" for t, p in enumerate(prices)),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert run("fit", "--input", path, "--dt", "4", "--out", out) == 0
+        assert "did not converge" not in capsys.readouterr().err
+        [fit] = json.loads((out / "fits.json").read_text())
+        assert fit["converged"]
+        assert fit["q"] == pytest.approx(1.7709649, abs=1e-6)
+
     def test_missing_input_no_partial_output(self, tmp_path):
         out = tmp_path / "fits"
         res = run_cli("fit", "--input", tmp_path / "absent.csv", "--out", out)
@@ -286,6 +310,20 @@ class TestScaling:
         report = json.loads((out / "scaling.json").read_text())
         assert report["tau_fit"]["stderr"] == pytest.approx(0.0, abs=1e-9)
         assert report["gamma_fit"]["stderr"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_repeated_dt_rejected(self, tmp_path, capsys):
+        path = tmp_path / "repeat.csv"
+        path.write_text("dt,q,beta\n4,1.5,1.7\n8,1.49,1.6\n4,1.45,1.5\n", encoding="utf-8")
+        assert run("scaling", "--fits", path, "--out", tmp_path / "o") == 2
+        assert "distinct time scales" in capsys.readouterr().err
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        t1 = tmp_path / "t1"
+        run("table1", "--out", t1)
+        out = tmp_path / "sc"
+        (out / "scaling.json").mkdir(parents=True)
+        assert run("scaling", "--fits", t1 / "table1.csv", "--out", out) == 1
+        assert str(out / "scaling.json") in capsys.readouterr().err
 
     def test_malformed_input(self, tmp_path):
         path = tmp_path / "junk.csv"
@@ -372,6 +410,52 @@ class TestConfigPrecedence:
         cfg.write_text("this is not a key value pair\n", encoding="utf-8")
         assert run("table1", "--config", cfg, "--out", tmp_path / "o") == 1
 
+    def test_config_values_match_flags(self, tmp_path):
+        walk = write_walk(tmp_path / "walk.csv", n=5000)
+        flags, from_cfg = tmp_path / "flags", tmp_path / "cfg"
+        assert run("fit", "--input", walk, "--dt", "2,8", "--grid-count", 20, "--out", flags) == 0
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"input = {walk}\ndt = 2,8\ngrid-count = 20\n", encoding="utf-8")
+        assert run("fit", "--config", cfg, "--out", from_cfg) == 0
+        for name in ("table.csv", "fits.json", "ccdf_dt2.csv", "ccdf_dt8.csv"):
+            assert (from_cfg / name).read_bytes() == (flags / name).read_bytes()
+
+        walk_flags = ["synth", "--q", 1.5, "--beta", 1, "--n", 100]
+        assert run(*walk_flags, "--seed", 5, "--out", flags) == 0
+        cfg.write_text("seed = 5\n", encoding="utf-8")
+        assert run(*walk_flags, "--config", cfg, "--out", from_cfg) == 0
+        assert (from_cfg / "synth.csv").read_bytes() == (flags / "synth.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "line, flag",
+        [
+            ("grid-count = abc", "--grid-count"),
+            ("grid-count = 4", "--grid-count"),
+            ("seed = 1.5", "--seed"),
+            ("grid-min = low", "--grid-min"),
+            ("dt = 4,2", "--dt"),
+            ("format = xml", "--format"),
+        ],
+    )
+    def test_bad_config_value_names_flag(self, tmp_path, capsys, line, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("table1", "--config", cfg, "--out", out) == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_shared_keys_ignored(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"runner = bogus\ncommand = fit\nq = 9\nout = {tmp_path / 'from_cfg'}\n",
+            encoding="utf-8",
+        )
+        assert run("table1", "--config", cfg) == 0
+        assert (tmp_path / "from_cfg" / "table1.csv").is_file()
+        out = tmp_path / "synth"
+        assert run("synth", "--config", cfg, "--q", 1.5, "--beta", 1, "--n", 10, "--out", out) == 0
+
 
 class TestUsage:
     def test_unknown_command(self):
@@ -379,6 +463,14 @@ class TestUsage:
 
     def test_no_command(self):
         assert run_cli().returncode == 1
+
+    @pytest.mark.parametrize("command", ["fit", "scaling", "table1", "synth", "pdfplot"])
+    def test_help_lists_defaults(self, command):
+        res = run_cli(command, "--help")
+        assert res.returncode == 0
+        text = " ".join(res.stdout.split())
+        for default in ("4,8,16,30,60,120,240,390,780", "0.01", "60", "out", "0", "csv"):
+            assert f"(default: {default})" in text
 
     def test_fit_requires_input(self, tmp_path):
         assert run("fit", "--out", tmp_path / "o") == 1
@@ -488,6 +580,18 @@ class TestBadInputExitCodes:
         argv = ["fit", "--input", str(path), "--grid-min", "-1", "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 1
         assert "grid minimum must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["table1", "scaling", "synth", "pdfplot"])
+    def test_invalid_grid_is_usage_error_on_every_command(self, tmp_path, capsys, command):
+        # the grid is checked before the command's own flags are read
+        own = {"scaling": ["--fits", "x"], "synth": ["--q", "1.5", "--beta", "1", "--n", "9"],
+               "pdfplot": ["--ccdf", "x", "--q", "1.5", "--beta", "1"]}.get(command, [])
+        out = tmp_path / "o"
+        assert cli.main([command, *own, "--grid-min", "-1", "--out", str(out)]) == 1
+        assert "grid minimum must be positive" in capsys.readouterr().err
+        assert cli.main([command, *own, "--grid-min", "2", "--grid-max", "1"]) == 1
+        assert "must exceed minimum" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_under_regular_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
         path = write_walk(tmp_path / "walk.csv")

@@ -266,6 +266,23 @@ class TestSerialization:
         loaded = load_scale_fits(path)
         assert loaded[0] == fits[0]
 
+    def test_missing_diagnostics_take_placeholders(self, tmp_path):
+        # a CSV table's diagnostics are never read, even from extra columns
+        csv_path = tmp_path / "fits.csv"
+        csv_path.write_text("dt,q,beta,residual,converged\n4,1.5,1.2,junk,False\n")
+        json_path = tmp_path / "fits.json"
+        json_path.write_text(
+            '[{"dt": 4, "q": 1.5, "beta": 1.2},'
+            ' {"dt": 8, "q": 1.4, "beta": 1.1, "converged": false}]'
+        )
+        placeholder = ScaleFitResult(
+            dt=4, q=1.5, beta=1.2, residual=0.0, n_points=0, converged=True
+        )
+        assert load_scale_fits(csv_path) == [placeholder]
+        from_json = load_scale_fits(json_path)
+        assert from_json[0] == placeholder
+        assert from_json[1].converged is False
+
     @pytest.mark.parametrize("q,beta", [(float("nan"), 1.2), (1.5, float("inf"))])
     def test_rejects_non_finite_parameters(self, q, beta):
         with pytest.raises(ValueError, match="must be finite"):
