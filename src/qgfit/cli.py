@@ -28,7 +28,6 @@ from .estimation import (
 )
 from .qgaussian import QGaussianParams, ccdf_abs, pdf, sample
 from .returns import (
-    DegenerateSeriesError,
     GridSpec,
     PriceDataError,
     empirical_ccdf,
@@ -51,9 +50,6 @@ _MAX_LOG_PRICE_HALF_RANGE = 600.0
 # Rows formatted into one string per write of synth.csv: the whole file is
 # never held as row strings.
 _SYNTH_BLOCK_ROWS = 4096
-# Keys a --config file may set: the long names of the shared flags.  Other
-# keys are ignored, so a file cannot set a command's own flags or `runner`.
-_CONFIG_KEYS = ("input", "dt", "grid-min", "grid-max", "grid-count", "out", "seed", "format")
 
 
 class UsageError(Exception):
@@ -64,9 +60,16 @@ class NumericalError(Exception):
     """A computation produced non-finite values."""
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends each flag's default to its help, unless the default is None."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
-        super().__init__(formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+        super().__init__(formatter_class=_HelpFormatter, **kwargs)
 
     # argparse exits with status 2 on bad flags; this tool reserves 2 for
     # data errors, so usage problems are remapped to 1.
@@ -109,68 +112,71 @@ def _plot_format(text: str) -> str:
     return text
 
 
-def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
-    # String defaults pass through `type` like typed values, so a default
-    # read from --config is checked by the same function as a flag.
-    sub.add_argument("--input", nargs="+", metavar="PATH", help="input CSV file(s)")
-    sub.add_argument(
+# Each flag once: its name, the commands that read it, and its argparse
+# settings.  A command's --help lists its flags in this order, then --config,
+# whose keys are the command's flags that are not required.  String defaults
+# pass through `type` like typed values, so a default read from --config is
+# checked by the same function as a flag.
+_FLAGS = (
+    ("--input", "fit", dict(nargs="+", metavar="PATH", help="input CSV file(s)")),
+    (
         "--dt",
-        type=_dt_ladder,
-        default=",".join(map(str, DEFAULT_DT_LADDER)),
-        help="comma-separated ladder of time scales in ticks",
-    )
-    sub.add_argument("--grid-min", type=float, default=GridSpec.min, help="lowest threshold")
-    sub.add_argument(
-        "--grid-max", type=float, help="highest threshold; none caps the grid by the sample"
-    )
-    sub.add_argument("--grid-count", type=_grid_count, default=GridSpec.count, help="grid points")
-    sub.add_argument("--out", type=Path, default="out", help="output directory")
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
-    sub.add_argument("--format", type=_plot_format, default="csv", help="plot files: csv or json")
-    sub.add_argument("--config", help="key=value file of shared flags; flags take precedence")
+        "fit",
+        dict(
+            type=_dt_ladder,
+            default=",".join(map(str, DEFAULT_DT_LADDER)),
+            help="comma-separated ladder of time scales in ticks",
+        ),
+    ),
+    ("--grid-min", "fit", dict(type=float, default=GridSpec.min, help="lowest threshold")),
+    ("--grid-max", "fit", dict(type=float, help="highest threshold; none caps it by the sample")),
+    ("--grid-count", "fit", dict(type=_grid_count, default=GridSpec.count, help="grid points")),
+    ("--format", "fit", dict(type=_plot_format, default="csv", help="plot files: csv or json")),
+    ("--fits", "scaling", dict(type=Path, required=True, help="dt,q,beta CSV table or fits.json")),
+    ("--ccdf", "pdfplot", dict(type=Path, required=True, help="CCDF CSV with columns x,ccdf")),
+    ("--q", "synth pdfplot", dict(type=float, required=True, help="entropic index, 1 < q < 3")),
+    ("--beta", "synth pdfplot", dict(type=float, required=True, help="width, beta > 0")),
+    ("--n", "synth", dict(type=int, required=True, help="number of price samples")),
+    ("--seed", "synth", dict(type=int, default=0, help="random seed")),
+    (
+        "--out",
+        "fit scaling table1 synth pdfplot",
+        dict(type=Path, default="out", help="output directory"),
+    ),
+)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The qgfit parser and its subcommand parsers by name."""
     parser = _Parser(prog="qgfit", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = subs.add_parser("fit", help="fit (q, beta) per time scale from price CSVs")
-    _add_shared_flags(p_fit)
-
-    p_scaling = subs.add_parser("scaling", help="power-law scaling report from a fits table")
-    p_scaling.add_argument("--fits", required=True, help="fits file (.csv dt,q,beta or .json)")
-    _add_shared_flags(p_scaling)
-
-    p_table = subs.add_parser("table1", help="emit the bundled reference dt,q,beta table")
-    _add_shared_flags(p_table)
-
-    p_synth = subs.add_parser("synth", help="generate a synthetic price series")
-    p_synth.add_argument("--q", type=float, required=True)
-    p_synth.add_argument("--beta", type=float, required=True)
-    p_synth.add_argument("--n", type=int, required=True, help="number of price samples")
-    _add_shared_flags(p_synth)
-
-    p_pdf = subs.add_parser("pdfplot", help="numerical density of a CCDF file vs the model")
-    p_pdf.add_argument("--ccdf", required=True, help="CCDF CSV with columns x,ccdf")
-    p_pdf.add_argument("--q", type=float, required=True)
-    p_pdf.add_argument("--beta", type=float, required=True)
-    _add_shared_flags(p_pdf)
-
-    p_fit.set_defaults(runner=cmd_fit)
-    p_scaling.set_defaults(runner=cmd_scaling)
-    p_table.set_defaults(runner=cmd_table1)
-    p_synth.set_defaults(runner=cmd_synth)
-    p_pdf.set_defaults(runner=cmd_pdfplot)
+    for name, runner, summary in (
+        ("fit", cmd_fit, "fit (q, beta) per time scale from price CSVs"),
+        ("scaling", cmd_scaling, "power-law scaling report from a fits table"),
+        ("table1", cmd_table1, "emit the bundled reference dt,q,beta table"),
+        ("synth", cmd_synth, "generate a synthetic price series"),
+        ("pdfplot", cmd_pdfplot, "numerical density of a CCDF file vs the model"),
+    ):
+        sub = subs.add_parser(name, help=summary)
+        for flag, readers, settings in _FLAGS:
+            if name in readers.split():
+                sub.add_argument(flag, **settings)
+        sub.add_argument("--config", help="key=value file of this command's optional flags")
+        sub.set_defaults(runner=runner)
     return parser, subs.choices
 
 
-def _parse_config_file(path: str) -> dict[str, object]:
-    """Parser defaults, by flag dest, from the shared-flag keys of a key=value file.
+def _parse_config_file(path: str, command: str) -> dict[str, object]:
+    """Parser defaults, by flag dest, from the key=value lines of `command`'s optional flags.
 
     `input` lists paths separated by commas or spaces; other values stay
-    strings for the flags' types to convert.
+    strings for the flags' types to convert.  Other keys are ignored.
     """
+    keys = {
+        flag[2:]
+        for flag, readers, settings in _FLAGS
+        if command in readers.split() and not settings.get("required")
+    }
     values: dict[str, object] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -184,10 +190,9 @@ def _parse_config_file(path: str) -> dict[str, object]:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "input":
-            values["input"] = value.replace(",", " ").split()
-        elif key in _CONFIG_KEYS:
-            values[key.replace("-", "_")] = value
+        if key in keys:
+            dest = key.replace("-", "_")
+            values[dest] = value.replace(",", " ").split() if key == "input" else value
     return values
 
 
@@ -195,18 +200,13 @@ def parse_args(argv=None) -> argparse.Namespace:
     """Parse argv with flags over the --config file over the parser defaults.
 
     The file's values become defaults of the chosen subcommand and argv is
-    parsed again.  `args.grid` is the threshold grid, checked for every
-    command.
+    parsed again.
     """
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        commands[args.command].set_defaults(**_parse_config_file(args.config))
+        commands[args.command].set_defaults(**_parse_config_file(args.config, args.command))
         args = parser.parse_args(argv)
-    try:
-        args.grid = GridSpec(min=args.grid_min, max=args.grid_max, count=args.grid_count)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     return args
 
 
@@ -268,6 +268,10 @@ def _write_fit_curve(args, dt: int, ccdf, fitted: ScaleFitResult) -> None:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    try:
+        grid = GridSpec(min=args.grid_min, max=args.grid_max, count=args.grid_count)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if not args.input:
         raise UsageError("fit requires at least one --input file")
     _check_out_dir(args.out)
@@ -280,7 +284,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     curves = []
     for dt in args.dt:
         pooled = pool([normalize(log_returns(s, dt)) for s in series])
-        ccdf = empirical_ccdf(pooled, dt, args.grid)
+        ccdf = empirical_ccdf(pooled, dt, grid)
         del pooled  # not held while this scale is fitted and the next one built
         fit = fit_qgaussian_ccdf(ccdf)
         if not fit.converged:
@@ -303,54 +307,41 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fitted_column(fit, xs) -> list[float]:
-    return [fit.amplitude * float(x) ** fit.exponent for x in xs]
-
-
 def cmd_scaling(args: argparse.Namespace) -> int:
-    fits_path = Path(args.fits)
-    if not fits_path.is_file():
-        raise PriceDataError(f"fits file not found: {fits_path}")
+    if not args.fits.is_file():
+        raise PriceDataError(f"fits file not found: {args.fits}")
     try:
-        fits = load_scale_fits(fits_path)
+        fits = load_scale_fits(args.fits)
     except (ValueError, KeyError, TypeError) as exc:
-        raise PriceDataError(f"cannot parse fits file {fits_path}: {exc}") from exc
+        raise PriceDataError(f"cannot parse fits file {args.fits}: {exc}") from exc
     report = scaling_report(fits)
-
-    def fit_dict(p):
-        return {
+    columns = {
+        "dt": [float(f.dt) for f in fits],
+        "q_minus_1": [f.q - 1.0 for f in fits],
+        "inv_beta": [1.0 / f.beta for f in fits],
+    }
+    # (key in scaling.json, plot file, regression, x column, y column)
+    regressions = (
+        ("tau_fit", "scaling_q_vs_dt", report.tau_fit, "dt", "q_minus_1"),
+        ("gamma_fit", "scaling_invbeta_vs_dt", report.gamma_fit, "dt", "inv_beta"),
+        ("delta_fit", "scaling_invbeta_vs_q", report.delta_fit, "q_minus_1", "inv_beta"),
+    )
+    payload = {
+        key: {
             "exponent": p.exponent,
             "amplitude": p.amplitude,
             "stderr": p.exponent_stderr,
             "r_squared": p.r_squared,
         }
-
-    payload = {
-        "tau_fit": fit_dict(report.tau_fit),
-        "gamma_fit": fit_dict(report.gamma_fit),
-        "delta_fit": fit_dict(report.delta_fit),
+        for key, _, p, _, _ in regressions
     }
-    dts = [float(f.dt) for f in fits]
-    q_excess = [f.q - 1.0 for f in fits]
-    inv_beta = [1.0 / f.beta for f in fits]
     with _writing_to(args.out):
         text = json.dumps(payload, indent=2) + "\n"
         (args.out / "scaling.json").write_text(text, encoding="utf-8")
-        _write_rows(
-            args.out / "scaling_q_vs_dt.csv",
-            ["dt", "q_minus_1", "fitted"],
-            zip(dts, q_excess, _fitted_column(report.tau_fit, dts)),
-        )
-        _write_rows(
-            args.out / "scaling_invbeta_vs_dt.csv",
-            ["dt", "inv_beta", "fitted"],
-            zip(dts, inv_beta, _fitted_column(report.gamma_fit, dts)),
-        )
-        _write_rows(
-            args.out / "scaling_invbeta_vs_q.csv",
-            ["q_minus_1", "inv_beta", "fitted"],
-            zip(q_excess, inv_beta, _fitted_column(report.delta_fit, q_excess)),
-        )
+        for _, name, p, x, y in regressions:
+            xs = columns[x]
+            fitted = [p.amplitude * v ** p.exponent for v in xs]
+            _write_rows(args.out / f"{name}.csv", [x, y, "fitted"], zip(xs, columns[y], fitted))
     print(f"wrote scaling report to {args.out}")
     return EXIT_OK
 
@@ -418,14 +409,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_pdfplot(args: argparse.Namespace) -> int:
-    ccdf_path = Path(args.ccdf)
-    if not ccdf_path.is_file():
-        raise PriceDataError(f"CCDF file not found: {ccdf_path}")
+    if not args.ccdf.is_file():
+        raise PriceDataError(f"CCDF file not found: {args.ccdf}")
     try:
         params = QGaussianParams(args.q, args.beta)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    ccdf = read_ccdf_csv(ccdf_path)
+    ccdf = read_ccdf_csv(args.ccdf)
     xs, numeric = numerical_pdf(ccdf)
     model = 2.0 * pdf(params, xs)  # folded density of |r|
     with _writing_to(args.out):
@@ -450,13 +440,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"qgfit: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PriceDataError, DegenerateSeriesError, FileNotFoundError) as exc:
-        print(f"qgfit: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except NumericalError as exc:
         print(f"qgfit: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # PriceDataError and the like
         print(f"qgfit: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

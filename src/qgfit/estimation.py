@@ -263,7 +263,9 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
     """Read fit results from a JSON file or a dt,q,beta CSV table.
 
     Diagnostics a JSON object leaves out, and all of a CSV row's, take the
-    `ScaleFitResult` placeholders; other CSV columns are ignored.
+    `ScaleFitResult` placeholders; other CSV columns are ignored.  A `dt` or
+    `n_points` that is not a whole number, or a `converged` that is not a
+    boolean, is a ValueError rather than being cast.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
@@ -276,6 +278,13 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
             if reader.fieldnames is None or not {"dt", "q", "beta"} <= set(reader.fieldnames):
                 raise ValueError(f"{path}: expected columns dt,q,beta, got {reader.fieldnames}")
             rows = [{"dt": r["dt"], "q": r["q"], "beta": r["beta"]} for r in reader]
+    for r in rows:
+        for name in ("dt", "n_points"):
+            value = r.get(name, 0)
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(r.get("converged", True), bool):
+            raise ValueError(f"converged must be true or false, got {r['converged']!r}")
     diagnostics = (("residual", float), ("n_points", int), ("converged", bool))
     return [
         ScaleFitResult(

@@ -438,17 +438,24 @@ class TestConfigPrecedence:
         ],
     )
     def test_bad_config_value_names_flag(self, tmp_path, capsys, line, flag):
+        # each key is read by the command that declares its flag
+        if flag == "--seed":
+            command = ["synth", "--q", 1.5, "--beta", 1, "--n", 10]
+        else:
+            command = ["fit", "--input", write_walk(tmp_path / "walk.csv")]
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n", encoding="utf-8")
         out = tmp_path / "o"
-        assert run("table1", "--config", cfg, "--out", out) == 1
+        assert run(*command, "--config", cfg, "--out", out) == 1
         assert f"argument {flag}:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_shared_keys_ignored(self, tmp_path):
+        # bad values for fit's flags, which table1 and synth do not read
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            f"runner = bogus\ncommand = fit\nq = 9\nout = {tmp_path / 'from_cfg'}\n",
+            f"runner = bogus\ncommand = fit\nq = 9\nout = {tmp_path / 'from_cfg'}\n"
+            "dt = 0\ngrid-min = -1\ninput = absent.csv\n",
             encoding="utf-8",
         )
         assert run("table1", "--config", cfg) == 0
@@ -466,11 +473,48 @@ class TestUsage:
 
     @pytest.mark.parametrize("command", ["fit", "scaling", "table1", "synth", "pdfplot"])
     def test_help_lists_defaults(self, command):
+        # only flags that have a default show one, so no "(default: None)"
+        defaults = {
+            "fit": ["4,8,16,30,60,120,240,390,780", "0.01", "60", "csv", "out"],
+            "synth": ["0", "out"],
+        }.get(command, ["out"])
         res = run_cli(command, "--help")
         assert res.returncode == 0
         text = " ".join(res.stdout.split())
-        for default in ("4,8,16,30,60,120,240,390,780", "0.01", "60", "out", "0", "csv"):
-            assert f"(default: {default})" in text
+        assert re.findall(r"\(default: (.*?)\)", text) == defaults
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--input", "missing.csv"],
+            ["table1", "--dt", "0"],
+            ["scaling", "--fits", "fits.json", "--seed", "1"],
+            ["synth", "--q", "1.5", "--beta", "1", "--n", "10", "--format", "json"],
+            ["pdfplot", "--ccdf", "c.csv", "--q", "1.5", "--beta", "1", "--grid-count", "20"],
+            ["fit", "--input", "walk.csv", "--seed", "1"],
+        ],
+        ids=lambda argv: f"{argv[0]}{[a for a in argv if a.startswith('--')][-1]}",
+    )
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert run(*argv, "--out", out) == 1
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_table_lists_each_commands_flags(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| command | reads |\n| --- | --- |\n")[1].split("\n\n")[0]
+        rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.MULTILINE))
+        _, commands = cli.build_parser()
+        assert set(rows) == set(commands)
+        for name, sub in commands.items():
+            flags = [
+                flag
+                for action in sub._actions
+                for flag in action.option_strings
+                if flag.startswith("--") and flag not in ("--help", "--config")
+            ]
+            assert rows[name].split(", ") == [f"`{flag}`" for flag in flags], name
 
     def test_fit_requires_input(self, tmp_path):
         assert run("fit", "--out", tmp_path / "o") == 1
@@ -514,6 +558,16 @@ class TestSearchBoxEdge:
         assert warned == pinned
 
 
+def fits_json(tmp_path, **first):
+    """A three-row fits.json whose first row also holds `first`."""
+    rows = [{"dt": 4, "q": 1.5, "beta": 1.7}, {"dt": 8, "q": 1.49, "beta": 1.6},
+            {"dt": 16, "q": 1.45, "beta": 1.5}]
+    rows[0].update(first)
+    path = tmp_path / "fits.json"
+    path.write_text(json.dumps(rows) + "\n", encoding="utf-8")
+    return path
+
+
 class TestBadInputExitCodes:
     @pytest.mark.parametrize("bad", ["inf", "nan"])
     def test_nonfinite_price_is_data_error(self, tmp_path, capsys, bad):
@@ -535,6 +589,32 @@ class TestBadInputExitCodes:
         path.write_text(text + "\n", encoding="utf-8")
         assert cli.main(["scaling", "--fits", str(path), "--out", str(tmp_path / "o")]) == 2
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value", [("dt", 4.5), ("dt", True), ("n_points", 60.5)], ids=["dt", "bool", "n"]
+    )
+    def test_fits_json_non_integer_is_data_error(self, tmp_path, capsys, field, value):
+        # int() would turn these into a different scale or count
+        path = fits_json(tmp_path, **{field: value})
+        out = tmp_path / "o"
+        assert cli.main(["scaling", "--fits", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be an integer, got {value}" in err and str(path) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_fits_json_non_boolean_converged_is_data_error(self, tmp_path, capsys, value):
+        # bool("false") is True
+        path = fits_json(tmp_path, converged=value)
+        out = tmp_path / "o"
+        assert cli.main(["scaling", "--fits", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "converged must be true or false" in err and str(path) in err
+        assert not out.exists()
+
+    def test_fits_json_whole_float_dt_is_read(self, tmp_path):
+        path = fits_json(tmp_path, dt=4.0, converged=False)
+        assert cli.main(["scaling", "--fits", str(path), "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize(
         "rows",
@@ -580,17 +660,23 @@ class TestBadInputExitCodes:
         argv = ["fit", "--input", str(path), "--grid-min", "-1", "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 1
         assert "grid minimum must be positive" in capsys.readouterr().err
+        # the grid is checked before the input is looked for
+        out = tmp_path / "o"
+        argv = ["fit", "--input", str(tmp_path / "absent.csv"), "--out", str(out)]
+        assert cli.main([*argv, "--grid-min", "2", "--grid-max", "1"]) == 1
+        assert "must exceed minimum" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["table1", "scaling", "synth", "pdfplot"])
     def test_invalid_grid_is_usage_error_on_every_command(self, tmp_path, capsys, command):
-        # the grid is checked before the command's own flags are read
+        # only fit reads the grid; the other commands do not accept its flags
         own = {"scaling": ["--fits", "x"], "synth": ["--q", "1.5", "--beta", "1", "--n", "9"],
                "pdfplot": ["--ccdf", "x", "--q", "1.5", "--beta", "1"]}.get(command, [])
         out = tmp_path / "o"
         assert cli.main([command, *own, "--grid-min", "-1", "--out", str(out)]) == 1
-        assert "grid minimum must be positive" in capsys.readouterr().err
+        assert "unrecognized arguments: --grid-min -1" in capsys.readouterr().err
         assert cli.main([command, *own, "--grid-min", "2", "--grid-max", "1"]) == 1
-        assert "must exceed minimum" in capsys.readouterr().err
+        assert "unrecognized arguments: --grid-min 2 --grid-max 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_out_under_regular_file_is_usage_error(self, tmp_path, capsys, monkeypatch):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
 from qgfit.qgaussian import (
@@ -274,6 +277,35 @@ class TestCcdfAbs:
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
             ccdf_abs(QGaussianParams(1.5, 1.0), -1.0)
+
+
+Q = st.floats(1.01, 2.99)
+BETA = st.floats(1e-4, 1e4)
+# 1 to 200 thresholds in [1e-6, 1e6], sorted by the test.
+THRESHOLDS = arrays(np.float64, st.integers(1, 200), elements=st.floats(1e-6, 1e6))
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+class TestCcdfAbsProperties:
+    @PROPERTY
+    @given(Q, BETA, THRESHOLDS)
+    def test_in_unit_interval_and_non_increasing(self, q, beta, x):
+        values = ccdf_abs(QGaussianParams(q, beta), np.sort(x))
+        assert np.all((values >= 0.0) & (values <= 1.0))
+        assert np.all(np.diff(values) <= 0.0)
+
+    @PROPERTY
+    @given(Q, BETA)
+    def test_continuous_across_split(self, q, beta):
+        # the direct series and the tail remainder meet at beta (3-q) x^2 = 1;
+        # compare the last point of one with the first of the other, a few
+        # ulps apart, where the exact CCDF moves by about 1e-15 relative
+        x = (1.0 + 2.0**-52 * np.arange(-8, 9)) / math.sqrt(beta * (3.0 - q))
+        head = beta * (3.0 - q) * x * x <= 1.0
+        assert head.any() and not head.all()
+        values = ccdf_abs(QGaussianParams(q, beta), x)
+        below, above = values[head][-1], values[~head][0]
+        assert abs(below - above) <= 1e-10 * above
 
 
 class TestTailRelations:
