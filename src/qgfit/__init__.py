@@ -5,7 +5,7 @@ the two-parameter (q, beta) distribution family and extracts the
 power-law scaling of both parameters against the sampling interval.
 """
 
-from .datasets import DEFAULT_DT_LADDER, TABLE1_ROWS, table1_fits
+from .datasets import DEFAULT_DT_LADDER, TABLE1_ROWS
 from .estimation import (
     PowerLawFit,
     ScaleFitResult,
@@ -17,12 +17,9 @@ from .estimation import (
 )
 from .qgaussian import (
     QGaussianParams,
-    TailExponent,
     ccdf_abs,
-    exp_q,
     normalization,
     pdf,
-    q_to_tail,
     sample,
     tail_to_q,
 )
@@ -36,14 +33,12 @@ from .returns import (
     numerical_pdf,
     pool,
 )
-from .special import gamma_ratio, hyp2f1
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_DT_LADDER",
     "TABLE1_ROWS",
-    "table1_fits",
     "PowerLawFit",
     "ScaleFitResult",
     "ScalingReport",
@@ -52,12 +47,9 @@ __all__ = [
     "fit_qgaussian_ccdf",
     "scaling_report",
     "QGaussianParams",
-    "TailExponent",
     "ccdf_abs",
-    "exp_q",
     "normalization",
     "pdf",
-    "q_to_tail",
     "sample",
     "tail_to_q",
     "EmpiricalCCDF",
@@ -68,6 +60,4 @@ __all__ = [
     "normalize",
     "numerical_pdf",
     "pool",
-    "gamma_ratio",
-    "hyp2f1",
 ]

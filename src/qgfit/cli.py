@@ -312,7 +312,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         raise PriceDataError(f"fits file not found: {args.fits}")
     try:
         fits = load_scale_fits(args.fits)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise PriceDataError(f"cannot parse fits file {args.fits}: {exc}") from exc
     report = scaling_report(fits)
     columns = {

@@ -5,10 +5,6 @@ normalized returns; they drive the scaling regressions and serve as the
 default time-scale ladder.
 """
 
-from __future__ import annotations
-
-from .estimation import ScaleFitResult
-
 # (dt in ticks, q, beta)
 TABLE1_ROWS: tuple[tuple[int, float, float], ...] = (
     (4, 1.53, 1.78),
@@ -24,7 +20,3 @@ TABLE1_ROWS: tuple[tuple[int, float, float], ...] = (
 
 DEFAULT_DT_LADDER: tuple[int, ...] = tuple(row[0] for row in TABLE1_ROWS)
 
-
-def table1_fits() -> list[ScaleFitResult]:
-    """The bundled table as fit-result records usable by the scaling report."""
-    return [ScaleFitResult(dt, q, beta) for dt, q, beta in TABLE1_ROWS]

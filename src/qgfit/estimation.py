@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from .qgaussian import QGaussianParams, TailExponent, ccdf_abs, tail_to_q
+from .qgaussian import QGaussianParams, ccdf_abs, tail_to_q
 from .returns import EmpiricalCCDF
 
 __all__ = [
@@ -165,12 +165,14 @@ def _default_q_init(ccdf: EmpiricalCCDF) -> float:
         return 1.5
 
 
-def estimate_tail_exponent(ccdf: EmpiricalCCDF, tail_fraction: float = DEFAULT_TAIL_FRACTION):
-    """Tail exponent from an OLS slope of ln P against ln x over the tail.
+def estimate_tail_exponent(
+    ccdf: EmpiricalCCDF, tail_fraction: float = DEFAULT_TAIL_FRACTION
+) -> float:
+    """Tail exponent alpha > 0 from an OLS slope of ln P against ln x over the tail.
 
     The tail region is the largest `tail_fraction` of grid thresholds; via
-    the exact exponent relation this yields a q estimate independent of the
-    least-squares fit.
+    `tail_to_q` this yields a q estimate independent of the least-squares
+    fit.  A slope that is not negative has no such exponent: ValueError.
     """
     if not 0.0 < tail_fraction < 1.0:
         raise ValueError(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
@@ -182,7 +184,9 @@ def estimate_tail_exponent(ccdf: EmpiricalCCDF, tail_fraction: float = DEFAULT_T
     log_x = np.log(ccdf.thresholds[-k:])
     log_p = np.log(ccdf.probabilities[-k:])
     slope, _, _, _ = _ols(log_x, log_p)
-    return TailExponent(-slope)
+    if not slope < 0.0:
+        raise ValueError(f"tail slope must be negative, got {slope}")
+    return -slope
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
@@ -263,28 +267,24 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
     """Read fit results from a JSON file or a dt,q,beta CSV table.
 
     Diagnostics a JSON object leaves out, and all of a CSV row's, take the
-    `ScaleFitResult` placeholders; other CSV columns are ignored.  A `dt` or
-    `n_points` that is not a whole number, or a `converged` that is not a
-    boolean, is a ValueError rather than being cast.
+    `ScaleFitResult` placeholders; other CSV columns are ignored.  Each JSON
+    object needs `dt`, `q` and `beta`; a value that is not a JSON number, a
+    `dt` or `n_points` that is not a whole number, or a `converged` that is
+    not a boolean is a ValueError naming the field rather than being cast.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
         rows = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
-            raise ValueError(f"{path}: expected a JSON list of objects with dt, q and beta")
+            raise ValueError("expected a JSON list of objects with dt, q and beta")
+        for i, r in enumerate(rows, 1):
+            _check_json_fit(i, r)
     else:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"dt", "q", "beta"} <= set(reader.fieldnames):
-                raise ValueError(f"{path}: expected columns dt,q,beta, got {reader.fieldnames}")
+                raise ValueError(f"expected columns dt,q,beta, got {reader.fieldnames}")
             rows = [{"dt": r["dt"], "q": r["q"], "beta": r["beta"]} for r in reader]
-    for r in rows:
-        for name in ("dt", "n_points"):
-            value = r.get(name, 0)
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(r.get("converged", True), bool):
-            raise ValueError(f"converged must be true or false, got {r['converged']!r}")
     diagnostics = (("residual", float), ("n_points", int), ("converged", bool))
     return [
         ScaleFitResult(
@@ -295,3 +295,19 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
         )
         for r in rows
     ]
+
+
+def _check_json_fit(index: int, row: dict) -> None:
+    """Raise ValueError naming the first field of fits JSON object `index` that is wrong."""
+    for name in ("dt", "q", "beta"):
+        if name not in row:
+            raise ValueError(f"fit {index}: missing {name}")
+    for name in ("dt", "q", "beta", "residual", "n_points"):
+        value = row.get(name, 0)
+        whole = name in ("dt", "n_points")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not number or (whole and isinstance(value, float) and not value.is_integer()):
+            kind = "an integer" if whole else "a number"
+            raise ValueError(f"fit {index}: {name} must be {kind}, got {value!r}")
+    if not isinstance(row.get("converged", True), bool):
+        raise ValueError(f"fit {index}: converged must be true or false, got {row['converged']!r}")

@@ -1,9 +1,9 @@
 """The q-Gaussian distribution family with 1 < q < 3.
 
 Density, normalization constant, complementary CDF of the absolute value,
-the tail-exponent relations, and an exact sampler used for synthetic
-validation.  The location parameter is fixed at zero throughout the
-absolute-returns pipeline.
+the tail-exponent relation, and an exact sampler used for synthetic
+validation.  Every distribution is centred at zero, as the absolute-returns
+pipeline needs.
 """
 
 from __future__ import annotations
@@ -17,12 +17,9 @@ from .special import gamma_ratio, hyp2f1, hyp2f1_tail_remainder
 
 __all__ = [
     "QGaussianParams",
-    "TailExponent",
-    "exp_q",
     "normalization",
     "pdf",
     "ccdf_abs",
-    "q_to_tail",
     "tail_to_q",
     "sample",
 ]
@@ -30,16 +27,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QGaussianParams:
-    """Parameter triple (q, beta, mu) of one heavy-tailed distribution.
+    """Parameter pair (q, beta) of one zero-centred heavy-tailed distribution.
 
     q is the entropic index controlling tail weight, beta the inverse
-    temperature setting the scale, mu the location (zero everywhere in the
-    returns pipeline).
+    temperature setting the scale.
     """
 
     q: float
     beta: float
-    mu: float = 0.0
 
     def __post_init__(self):
         if not 1.0 < self.q < 3.0:
@@ -51,35 +46,6 @@ class QGaussianParams:
     def b_exponent(self) -> float:
         """The decay exponent 1/(q-1) of the density kernel."""
         return 1.0 / (self.q - 1.0)
-
-
-@dataclass(frozen=True)
-class TailExponent:
-    """Asymptotic exceedance exponent alpha: P(|X| > x) ~ x^(-alpha)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"tail exponent must be positive, got {self.alpha}")
-
-
-def exp_q(q: float, x):
-    """Deformed exponential [1 + (1-q)x]_+^(1/(1-q)); plain exp at q = 1.
-
-    Accepts scalars or numpy arrays; a scalar x returns a float.  The
-    positive-part cutoff applies where 1 + (1-q)x <= 0 (only reachable for
-    q < 1 on negative-kernel arguments, or q > 1 on positive ones).
-    """
-    x = np.asarray(x, dtype=float)
-    if q == 1.0:
-        out = np.exp(x)
-    else:
-        base = 1.0 + (1.0 - q) * x
-        out = np.zeros_like(base)
-        pos = base > 0.0
-        out[pos] = base[pos] ** (1.0 / (1.0 - q))
-    return out if out.ndim else float(out)
 
 
 def normalization(params: QGaussianParams) -> float:
@@ -95,24 +61,26 @@ def normalization(params: QGaussianParams) -> float:
 
 
 def pdf(params: QGaussianParams, x):
-    """Density A(q, beta) exp_q(-beta (x - mu)^2); scalar or array x.
+    """Density A(q, beta) [1 + (q-1) beta x^2]^(-1/(q-1)); scalar or array x.
 
-    Strictly positive everywhere for q > 1 and symmetric about mu.  A scalar
+    Strictly positive everywhere for q > 1 and symmetric about 0.  A scalar
     x returns a float.
     """
-    d = np.asarray(x, dtype=float) - params.mu
-    return normalization(params) * exp_q(params.q, -params.beta * d * d)
+    xs = np.asarray(x, dtype=float)
+    # The power runs on a 1-d array even for scalar x: numpy's 0-d power can
+    # round differently, and scalar and array calls must agree bit for bit.
+    d = np.atleast_1d(xs)
+    kernel = 1.0 + (params.q - 1.0) * (params.beta * d * d)
+    out = normalization(params) * kernel ** -params.b_exponent
+    return out if xs.ndim else float(out[0])
 
 
 def ccdf_abs(params: QGaussianParams, x):
     """Exceedance probability P(|X| > x) for x >= 0; scalar or array.
 
-    Equals 1 - 2 A(q,beta) x 2F1(1/2, 1/(q-1); 3/2; -beta(q-1)x^2), with
-    mu = 0 required.  Monotonically non-increasing, 1 at x = 0, -> 0 as
-    x -> infinity.
+    Equals 1 - 2 A(q,beta) x 2F1(1/2, 1/(q-1); 3/2; -beta(q-1)x^2).
+    Monotonically non-increasing, 1 at x = 0, -> 0 as x -> infinity.
     """
-    if params.mu != 0.0:
-        raise ValueError("ccdf_abs is defined for mu = 0 distributions only")
     xs = np.asarray(x, dtype=float)
     if np.any(xs < 0.0):
         raise ValueError(f"ccdf_abs requires x >= 0, got x={x}")
@@ -134,17 +102,14 @@ def ccdf_abs(params: QGaussianParams, x):
     return out if out.ndim else float(out)
 
 
-def q_to_tail(q: float) -> TailExponent:
-    """Tail exponent alpha = (3-q)/(q-1) of the exceedance probability."""
-    if not 1.0 < q < 3.0:
-        raise ValueError(f"q must lie in (1, 3), got q={q}")
-    return TailExponent((3.0 - q) / (q - 1.0))
+def tail_to_q(alpha: float) -> float:
+    """Entropic index q = (3 + alpha)/(1 + alpha) of the tail exponent alpha > 0.
 
-
-def tail_to_q(alpha: TailExponent) -> float:
-    """Entropic index q = (3 + alpha)/(1 + alpha); inverse of q_to_tail."""
-    a = alpha.alpha
-    return (3.0 + a) / (1.0 + a)
+    Inverts alpha = (3-q)/(q-1), the exponent of P(|X| > x) ~ x^(-alpha).
+    """
+    if not alpha > 0.0:
+        raise ValueError(f"tail exponent must be positive, got {alpha}")
+    return (3.0 + alpha) / (1.0 + alpha)
 
 
 def sample(params: QGaussianParams, n: int, seed: int) -> np.ndarray:
@@ -162,10 +127,9 @@ def sample(params: QGaussianParams, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal(n)
     chi2 = rng.chisquare(nu, n)
-    # In place, in the order normal / sqrt(chi2 / nu) / sqrt(beta(3-q)) + mu.
+    # In place, in the order normal / sqrt(chi2 / nu) / sqrt(beta(3-q)).
     chi2 /= nu
     np.sqrt(chi2, out=chi2)
     draws /= chi2
     draws /= math.sqrt(beta * (3.0 - q))
-    draws += params.mu
     return draws

@@ -127,8 +127,10 @@ class GridSpec:
     def __post_init__(self):
         if self.count < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.count}")
-        if self.min <= 0.0:
-            raise ValueError(f"grid minimum must be positive, got {self.min}")
+        if not 0.0 < self.min < np.inf:
+            raise ValueError(f"grid minimum must be positive and finite, got {self.min}")
+        if self.max is not None and not np.isfinite(self.max):
+            raise ValueError(f"grid maximum must be finite, got {self.max}")
         if self.max is not None and self.max <= self.min:
             raise ValueError(f"grid maximum {self.max} must exceed minimum {self.min}")
 

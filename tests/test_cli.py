@@ -612,6 +612,49 @@ class TestBadInputExitCodes:
         assert "converged must be true or false" in err and str(path) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ('"dt": 8, "q": 1.49, "beta": true', "beta must be a number, got True"),
+            ('"dt": 8, "q": "1.49", "beta": 1.6', "q must be a number, got '1.49'"),
+            ('"dt": 8, "q": null, "beta": 1.6', "q must be a number, got None"),
+            ('"dt": 8, "beta": 1.6', "missing q"),
+            ('"dt": 8, "q": 1.49, "beta": 1.6, "residual": true',
+             "residual must be a number, got True"),
+            ('"dt": "8", "q": 1.49, "beta": 1.6', "dt must be an integer, got '8'"),
+        ],
+        ids=["bool_beta", "string_q", "null_q", "missing_q", "bool_residual", "string_dt"],
+    )
+    def test_fits_json_field_not_a_number_is_data_error(self, tmp_path, capsys, row, message):
+        # float() would read true as 1.0 and "1.49" as 1.49
+        path = tmp_path / "fits.json"
+        path.write_text(
+            f'[{{"dt": 4, "q": 1.5, "beta": 1.7}}, {{{row}}}, {{"dt": 16, "q": 1.45, "beta": 1.5}}]',
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert cli.main(["scaling", "--fits", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"qgfit: data error: cannot parse fits file {path}: fit 2: {message}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("fits.json", '{"dt": 4}', "expected a JSON list of objects with dt, q and beta"),
+            ("fits.csv", "a,b\n1,2\n", "expected columns dt,q,beta, got ['a', 'b']"),
+        ],
+        ids=["json", "csv"],
+    )
+    def test_fits_shape_error_names_path_once(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["scaling", "--fits", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"qgfit: data error: cannot parse fits file {path}: {message}\n"
+        )
+
     def test_fits_json_whole_float_dt_is_read(self, tmp_path):
         path = fits_json(tmp_path, dt=4.0, converged=False)
         assert cli.main(["scaling", "--fits", str(path), "--out", str(tmp_path / "o")]) == 0
@@ -665,6 +708,17 @@ class TestBadInputExitCodes:
         argv = ["fit", "--input", str(tmp_path / "absent.csv"), "--out", str(out)]
         assert cli.main([*argv, "--grid-min", "2", "--grid-max", "1"]) == 1
         assert "must exceed minimum" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bound", ["--grid-min", "--grid-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_grid_bound_is_usage_error(self, tmp_path, capsys, bound, value):
+        path = write_walk(tmp_path / "walk.csv")
+        out = tmp_path / "o"
+        argv = ["fit", "--input", str(path), "--dt", "1", bound, value, "--out", str(out)]
+        assert cli.main(argv) == 1
+        name = "minimum must be positive and" if bound == "--grid-min" else "maximum must be"
+        assert capsys.readouterr().err == f"qgfit: usage error: grid {name} finite, got {value}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["table1", "scaling", "synth", "pdfplot"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qgfit import estimation, qgaussian
-from qgfit.datasets import TABLE1_ROWS, table1_fits
+from qgfit.datasets import TABLE1_ROWS
 from qgfit.estimation import (
     InsufficientTailPointsError,
     ScaleFitResult,
@@ -25,6 +25,9 @@ def model_ccdf(q, beta, lo=1e-2, hi=1e2, n=60, dt=1):
     x = np.geomspace(lo, hi, n)
     p = ccdf_abs(QGaussianParams(q, beta), x)
     return EmpiricalCCDF(dt=dt, thresholds=x, probabilities=p, n_samples=0)
+
+
+TABLE1_FITS = [ScaleFitResult(dt, q, beta) for dt, q, beta in TABLE1_ROWS]
 
 
 class TestFitQGaussianCcdf:
@@ -115,17 +118,17 @@ class TestEstimateTailExponent:
         # top third of the grid covers x in [1e2, 1e4] where P ~ 2/(pi x)
         ccdf = model_ccdf(2.0, 1.0, lo=1e-2, hi=1e4, n=90)
         alpha = estimate_tail_exponent(ccdf, 1.0 / 3.0)
-        assert alpha.alpha == pytest.approx(1.0, rel=0.02)
+        assert alpha == pytest.approx(1.0, rel=0.02)
 
     def test_exact_power_law(self):
         x = np.geomspace(1.0, 1e3, 40)
         ccdf = EmpiricalCCDF(dt=1, thresholds=x, probabilities=x**-2.5, n_samples=0)
-        assert estimate_tail_exponent(ccdf, 0.5).alpha == pytest.approx(2.5, abs=1e-12)
+        assert estimate_tail_exponent(ccdf, 0.5) == pytest.approx(2.5, abs=1e-12)
 
     def test_consistent_with_exact_relation(self):
         ccdf = model_ccdf(1.53, 1.78, lo=1e-2, hi=1e4, n=90)
         alpha = estimate_tail_exponent(ccdf, 1.0 / 3.0)
-        assert alpha.alpha == pytest.approx(2.7736, abs=0.03)
+        assert alpha == pytest.approx(2.7736, abs=0.03)
         assert tail_to_q(alpha) == pytest.approx(1.53, abs=0.02)
 
     def test_too_few_tail_points(self):
@@ -135,6 +138,12 @@ class TestEstimateTailExponent:
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             estimate_tail_exponent(model_ccdf(1.5, 1.0), 1.5)
+
+    def test_flat_tail_has_no_exponent(self):
+        x = np.geomspace(1.0, 1e3, 40)
+        flat = EmpiricalCCDF(dt=1, thresholds=x, probabilities=np.full(40, 0.25), n_samples=0)
+        with pytest.raises(ValueError, match="tail slope must be negative, got 0.0"):
+            estimate_tail_exponent(flat, 0.5)
 
 
 class TestTwoRouteConsistency:
@@ -178,7 +187,7 @@ class TestFitPowerLaw:
 
 class TestScalingReport:
     def test_bundled_table(self):
-        report = scaling_report(table1_fits())
+        report = scaling_report(TABLE1_FITS)
         assert abs(report.tau_fit.exponent) == pytest.approx(0.081, abs=0.01)
         assert abs(report.gamma_fit.exponent) == pytest.approx(0.106, abs=0.01)
         assert abs(report.delta_fit.exponent) == pytest.approx(1.29, abs=0.15)
@@ -203,7 +212,7 @@ class TestScalingReport:
     def test_chain_rule_consistency(self):
         # the beta-vs-q exponent is the ratio of the two dt exponents up to
         # regression noise
-        report = scaling_report(table1_fits())
+        report = scaling_report(TABLE1_FITS)
         ratio = abs(report.gamma_fit.exponent / report.tau_fit.exponent)
         combined = report.delta_fit.exponent_stderr + abs(
             report.gamma_fit.exponent_stderr / report.tau_fit.exponent
@@ -212,7 +221,7 @@ class TestScalingReport:
 
     def test_needs_three_scales(self):
         with pytest.raises(ValueError):
-            scaling_report(table1_fits()[:2])
+            scaling_report(TABLE1_FITS[:2])
 
 
 class TestMonotonicityReproduction:
@@ -249,7 +258,7 @@ class TestAtBound:
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "fits.csv"
-        scale_fits_to_csv(table1_fits(), path)
+        scale_fits_to_csv(TABLE1_FITS, path)
         lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "dt,q,beta"
         assert len(lines) == 10

@@ -11,12 +11,9 @@ from scipy import integrate
 
 from qgfit.qgaussian import (
     QGaussianParams,
-    TailExponent,
     ccdf_abs,
-    exp_q,
     normalization,
     pdf,
-    q_to_tail,
     sample,
     tail_to_q,
 )
@@ -116,38 +113,6 @@ class TestParams:
             QGaussianParams(1.5, beta)
 
 
-class TestExpQ:
-    def test_zero_argument(self):
-        assert exp_q(1.5, 0.0) == 1.0
-
-    def test_direct_arithmetic(self):
-        # [1 + (-1)(-1)]^(-1) = 1/2
-        assert exp_q(2.0, -1.0) == pytest.approx(0.5)
-
-    def test_cutoff_branch(self):
-        # 1 + 0.5*(-3) < 0 -> positive-part cutoff
-        assert exp_q(0.5, -3.0) == 0.0
-
-    def test_q_one_is_exp(self):
-        assert exp_q(1.0, -2.0) == pytest.approx(math.exp(-2.0))
-
-    def test_array_input(self):
-        xs = np.array([0.0, -1.0, -100.0])
-        out = exp_q(2.0, xs)
-        assert out == pytest.approx([1.0, 0.5, 1.0 / 101.0])
-
-    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 2.9])
-    def test_array_equals_scalar_calls(self, q):
-        # q = 1 is plain exp; q = 0.5 reaches the cutoff at x < -2 and
-        # q > 1 at x > 1/(q-1)
-        x = np.concatenate([-np.geomspace(1e3, 1e-3, 20), [0.0], np.geomspace(1e-3, 1e2, 20)])
-        if q != 1.0:
-            assert np.any(1.0 + (1.0 - q) * x <= 0.0)
-        scalar = [exp_q(q, float(v)) for v in x]
-        assert all(type(v) is float for v in scalar)
-        assert np.array_equal(exp_q(q, x), scalar)
-
-
 class TestNormalization:
     def test_gaussian_limit(self):
         # q -> 1+ with beta = 1 recovers the sqrt(1/pi) prefactor
@@ -199,10 +164,11 @@ class TestPdf:
         p = QGaussianParams(1.2, 2.0)
         assert pdf(p, 1e6) > 0.0
 
-    @pytest.mark.parametrize("q,mu", [(1.01, 0.0), (1.53, 0.0), (2.0, -0.75), (2.9, 3.0)])
-    def test_array_equals_scalar_calls(self, q, mu):
-        p = QGaussianParams(q, 1.78, mu)
+    @pytest.mark.parametrize("q,shift", [(1.01, 0.0), (1.53, 0.0), (2.0, -0.75), (2.9, 3.0)])
+    def test_array_equals_scalar_calls(self, q, shift):
+        p = QGaussianParams(q, 1.78)
         x = np.concatenate([-np.geomspace(1e4, 1e-3, 20), [0.0], np.geomspace(1e-3, 1e4, 20)])
+        x -= shift
         scalar = [pdf(p, float(v)) for v in x]
         assert all(type(v) is float for v in scalar)
         assert np.array_equal(pdf(p, x), scalar)
@@ -270,10 +236,6 @@ class TestCcdfAbs:
     def test_scalar_returns_float(self):
         assert type(ccdf_abs(QGaussianParams(1.5, 1.0), 2.0)) is float
 
-    def test_rejects_nonzero_mu(self):
-        with pytest.raises(ValueError):
-            ccdf_abs(QGaussianParams(1.5, 1.0, mu=1.0), 1.0)
-
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
             ccdf_abs(QGaussianParams(1.5, 1.0), -1.0)
@@ -310,25 +272,26 @@ class TestCcdfAbsProperties:
 
 class TestTailRelations:
     def test_known_values(self):
-        assert q_to_tail(1.5).alpha == pytest.approx(3.0)
-        assert q_to_tail(2.0).alpha == pytest.approx(1.0)
-        assert q_to_tail(1.53).alpha == pytest.approx(2.7736, abs=1e-4)
+        # the bundled dt = 4 index, and the Gaussian and q = 3 ends
+        assert tail_to_q(2.7736) == pytest.approx(1.53, abs=1e-5)
+        assert tail_to_q(1e12) == pytest.approx(1.0, abs=1e-11)
+        assert tail_to_q(1e-12) == pytest.approx(3.0, abs=1e-11)
 
     def test_inverse_pairs(self):
-        assert tail_to_q(TailExponent(3.0)) == pytest.approx(1.5)
-        assert tail_to_q(TailExponent(1.0)) == pytest.approx(2.0)
+        assert tail_to_q(3.0) == pytest.approx(1.5)
+        assert tail_to_q(1.0) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.7736, 10.0])
     def test_round_trip(self, alpha):
-        assert q_to_tail(tail_to_q(TailExponent(alpha))).alpha == pytest.approx(
-            alpha, rel=1e-14
-        )
+        # alpha = (3-q)/(q-1) is the exceedance exponent of q
+        q = tail_to_q(alpha)
+        assert 1.0 < q < 3.0
+        assert (3.0 - q) / (q - 1.0) == pytest.approx(alpha, rel=1e-14)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            q_to_tail(3.5)
-        with pytest.raises(ValueError):
-            TailExponent(-1.0)
+        for alpha in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="tail exponent must be positive"):
+                tail_to_q(alpha)
 
 
 class TestSample:
@@ -339,12 +302,12 @@ class TestSample:
     @pytest.mark.parametrize("q", [1.2, 1.7, 2.9])
     def test_equals_explicit_student_t(self, q):
         # the documented stream: normals, then chi-squares, from one PCG64
-        beta, mu, nu = 2.5, -0.75, (3.0 - q) / (q - 1.0)
+        beta, nu = 2.5, (3.0 - q) / (q - 1.0)
         rng = np.random.default_rng(8)
         normal = rng.standard_normal(5000)
         chi2 = rng.chisquare(nu, 5000)
-        expected = mu + normal / np.sqrt(chi2 / nu) / math.sqrt(beta * (3.0 - q))
-        assert np.array_equal(sample(QGaussianParams(q, beta, mu), 5000, seed=8), expected)
+        expected = normal / np.sqrt(chi2 / nu) / math.sqrt(beta * (3.0 - q))
+        assert np.array_equal(sample(QGaussianParams(q, beta), 5000, seed=8), expected)
 
     def test_cauchy_median(self):
         # P(|X| > 1) = 1/2 for the Cauchy case
