@@ -133,7 +133,11 @@ _FLAGS = (
     ("--grid-count", "fit", dict(type=_grid_count, default=GridSpec.count, help="grid points")),
     ("--format", "fit", dict(type=_plot_format, default="csv", help="plot files: csv or json")),
     ("--fits", "scaling", dict(type=Path, required=True, help="dt,q,beta CSV table or fits.json")),
-    ("--ccdf", "pdfplot", dict(type=Path, required=True, help="CCDF CSV with columns x,ccdf")),
+    (
+        "--ccdf",
+        "pdfplot",
+        dict(type=Path, required=True, help="CSV with columns x and ccdf (or ccdf_empirical)"),
+    ),
     ("--q", "synth pdfplot", dict(type=float, required=True, help="entropic index, 1 < q < 3")),
     ("--beta", "synth pdfplot", dict(type=float, required=True, help="width, beta > 0")),
     ("--n", "synth", dict(type=int, required=True, help="number of price samples")),
@@ -312,7 +316,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         raise PriceDataError(f"fits file not found: {args.fits}")
     try:
         fits = load_scale_fits(args.fits)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise PriceDataError(f"cannot parse fits file {args.fits}: {exc}") from exc
     report = scaling_report(fits)
     columns = {

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .qgaussian import QGaussianParams, ccdf_abs, tail_to_q
-from .returns import EmpiricalCCDF
+from .returns import EmpiricalCCDF, _read_csv_columns
 
 __all__ = [
     "InsufficientTailPointsError",
@@ -68,6 +69,8 @@ class ScaleFitResult:
     converged: bool = True
 
     def __post_init__(self):
+        if self.dt < 1:
+            raise ValueError(f"dt must be a positive integer, got {self.dt}")
         if not math.isfinite(self.residual):
             raise ValueError("fit residual must be finite")
         if not (math.isfinite(self.q) and math.isfinite(self.beta)):
@@ -128,8 +131,6 @@ def fit_qgaussian_ccdf(
     """
     if len(ccdf) < _MIN_FIT_POINTS:
         raise ValueError(f"need at least {_MIN_FIT_POINTS} CCDF points, got {len(ccdf)}")
-    if np.any(ccdf.probabilities <= 0.0):
-        raise ValueError("all CCDF probabilities must be positive")
 
     xs = ccdf.thresholds
     target = np.log10(ccdf.probabilities)
@@ -268,23 +269,19 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
 
     Diagnostics a JSON object leaves out, and all of a CSV row's, take the
     `ScaleFitResult` placeholders; other CSV columns are ignored.  Each JSON
-    object needs `dt`, `q` and `beta`; a value that is not a JSON number, a
-    `dt` or `n_points` that is not a whole number, or a `converged` that is
-    not a boolean is a ValueError naming the field rather than being cast.
+    object needs `dt`, `q` and `beta`; a value that is not a JSON number in
+    float range, a `dt` or `n_points` that is not a whole number, or a
+    `converged` that is not a boolean is a ValueError naming the field.
     """
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        rows = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
-            raise ValueError("expected a JSON list of objects with dt, q and beta")
-        for i, r in enumerate(rows, 1):
-            _check_json_fit(i, r)
-    else:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"dt", "q", "beta"} <= set(reader.fieldnames):
-                raise ValueError(f"expected columns dt,q,beta, got {reader.fieldnames}")
-            rows = [{"dt": r["dt"], "q": r["q"], "beta": r["beta"]} for r in reader]
+    if path.suffix.lower() != ".json":
+        table = _read_csv_columns(path, {"dt": np.int64, "q": float, "beta": float})
+        return [ScaleFitResult(*row) for row in table.tolist()]
+    rows = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise ValueError("expected a JSON list of objects with dt, q and beta")
+    for i, r in enumerate(rows, 1):
+        _check_json_fit(i, r)
     diagnostics = (("residual", float), ("n_points", int), ("converged", bool))
     return [
         ScaleFitResult(
@@ -309,5 +306,9 @@ def _check_json_fit(index: int, row: dict) -> None:
         if not number or (whole and isinstance(value, float) and not value.is_integer()):
             kind = "an integer" if whole else "a number"
             raise ValueError(f"fit {index}: {name} must be {kind}, got {value!r}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:  # float() overflows
+            raise ValueError(
+                f"fit {index}: {name} must be a number, got an integer past float range"
+            )
     if not isinstance(row.get("converged", True), bool):
         raise ValueError(f"fit {index}: converged must be true or false, got {row['converged']!r}")

@@ -9,6 +9,7 @@ the exceedance curve back into a density.
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -245,74 +246,66 @@ def numerical_pdf(ccdf: EmpiricalCCDF) -> tuple[np.ndarray, np.ndarray]:
     return mids, density
 
 
-def read_price_csv(path: str | Path) -> PriceSeries:
-    """Parse an instrument CSV with header columns `timestamp` and `price`.
+def _read_csv_columns(
+    path: Path, columns: dict[str, type], fallback: dict[str, str] | None = None
+) -> np.ndarray:
+    """The named columns of CSV `path` as a structured array, one record per row.
 
-    The header is read as CSV, so the two columns may come in any order and
-    other columns are ignored; blank lines are skipped.
+    `columns` maps each name to its dtype.  The header is read as CSV and the
+    columns are found in it by name, or by their `fallback` name, in any
+    order; other columns are ignored.  The rows go through one `np.loadtxt`
+    call: fields may be quoted, blank lines are skipped and a header-only
+    file has no rows.  A missing column or a malformed row is a ValueError
+    that does not name the path.
     """
+    fallback = fallback or {}
+    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        header = next(csv.reader(fh), None)
+        index = {name: i for i, name in enumerate(header or ())}  # last duplicate wins
+        for name, alias in fallback.items():
+            if name not in index and alias in index:
+                index[name] = index[alias]
+        if not index.keys() >= columns.keys():
+            wanted = (f"{c} (or {fallback[c]})" if c in fallback else c for c in columns)
+            raise ValueError(f"expected columns {','.join(wanted)}, got {header}")
+        # a header-only file is not malformed; each reader's checks judge no rows
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return np.loadtxt(
+                fh,
+                dtype=list(columns.items()),
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                usecols=[index[c] for c in columns],
+                ndmin=1,
+            )
+        except ValueError as exc:
+            # numpy gives the 1-based number of the column it could not convert
+            number = re.search(r"column (\d+)", str(exc))
+            where = f" in column {header[int(number[1]) - 1]!r}" if number else ""
+            raise ValueError(f"malformed row ({exc}){where}") from exc
+
+
+def read_price_csv(path: str | Path) -> PriceSeries:
+    """Parse an instrument CSV with columns `timestamp` (integer ticks) and `price`."""
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-            if header is None or not {"timestamp", "price"} <= set(header):
-                raise PriceDataError(
-                    f"{path}: expected header with 'timestamp' and 'price' columns, "
-                    f"got {header}"
-                )
-            column = {name: i for i, name in enumerate(header)}  # last duplicate wins
-            with warnings.catch_warnings():
-                # a header-only file is rejected below as too short
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(
-                    fh,
-                    dtype=[("timestamp", np.int64), ("price", np.float64)],
-                    delimiter=",",
-                    quotechar='"',
-                    comments=None,
-                    usecols=(column["timestamp"], column["price"]),
-                    ndmin=1,
-                )
-    except ValueError as exc:
-        if isinstance(exc, PriceDataError):
-            raise
-        raise PriceDataError(f"{path}: malformed row ({exc})") from exc
-    try:
+        rows = _read_csv_columns(path, {"timestamp": np.int64, "price": float})
         return PriceSeries(id=path.stem, timestamps=rows["timestamp"], values=rows["price"])
     except ValueError as exc:
         raise PriceDataError(f"{path}: {exc}") from exc
 
 
-def read_ccdf_csv(path: str | Path, dt: int = 1) -> EmpiricalCCDF:
-    """Parse an exceedance-curve CSV: columns x, ccdf (or ccdf_empirical).
+def read_ccdf_csv(path: str | Path) -> EmpiricalCCDF:
+    """Parse an exceedance curve: columns `x` and `ccdf` (or `ccdf_empirical`).
 
-    Accepts both the plain curve format and the fitted-curve files written
-    by the fit command, so plot pipelines can chain directly.
+    Reads the curve files that `fit` writes too.  The file holds no time
+    scale or sample count, so the result has dt 1 and n_samples 0.
     """
     path = Path(path)
-    xs: list[float] = []
-    ps: list[float] = []
-    n_samples = 0
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            fields = set(reader.fieldnames or ())
-            if "x" not in fields or not fields & {"ccdf", "ccdf_empirical"}:
-                raise PriceDataError(
-                    f"{path}: expected header with 'x' and 'ccdf' (or "
-                    f"'ccdf_empirical') columns, got {reader.fieldnames}"
-                )
-            p_col = "ccdf" if "ccdf" in fields else "ccdf_empirical"
-            for row in reader:
-                xs.append(float(row["x"]))
-                ps.append(float(row[p_col]))
-                if "n_samples" in row and row["n_samples"]:
-                    n_samples = int(row["n_samples"])
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, PriceDataError):
-            raise
-        raise PriceDataError(f"{path}: malformed row ({exc})") from exc
-    try:
-        return EmpiricalCCDF(dt=dt, thresholds=xs, probabilities=ps, n_samples=n_samples)
+        rows = _read_csv_columns(path, {"x": float, "ccdf": float}, {"ccdf": "ccdf_empirical"})
+        return EmpiricalCCDF(dt=1, thresholds=rows["x"], probabilities=rows["ccdf"], n_samples=0)
     except ValueError as exc:
         raise PriceDataError(f"{path}: {exc}") from exc

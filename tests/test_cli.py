@@ -364,6 +364,12 @@ class TestPdfPlot:
         assert run("pdfplot", "--ccdf", path, "--q", 1.5, "--beta", 1.0, "--out", out) == 0
         assert len(read_csv_rows(out / "pdfplot.csv")) == 2
 
+    def test_n_samples_column_ignored(self, tmp_path):
+        path = tmp_path / "tiny.csv"
+        path.write_text("x,ccdf,n_samples\n0.5,0.8,abc\n1.0,0.5,abc\n2.0,0.2,abc\n")
+        out = tmp_path / "o"
+        assert run("pdfplot", "--ccdf", path, "--q", 1.5, "--beta", 1.0, "--out", out) == 0
+
     def test_nonnegative_densities(self, tmp_path, model_ccdf_file):
         out = tmp_path / "o"
         run("pdfplot", "--ccdf", model_ccdf_file, "--q", 1.4, "--beta", 0.7, "--out", out)
@@ -558,6 +564,10 @@ class TestSearchBoxEdge:
         assert warned == pinned
 
 
+# An integer that float() cannot hold.
+HUGE_INT = "1" + "0" * 400
+
+
 def fits_json(tmp_path, **first):
     """A three-row fits.json whose first row also holds `first`."""
     rows = [{"dt": 4, "q": 1.5, "beta": 1.7}, {"dt": 8, "q": 1.49, "beta": 1.6},
@@ -622,11 +632,16 @@ class TestBadInputExitCodes:
             ('"dt": 8, "q": 1.49, "beta": 1.6, "residual": true',
              "residual must be a number, got True"),
             ('"dt": "8", "q": 1.49, "beta": 1.6', "dt must be an integer, got '8'"),
+            (f'"dt": 8, "q": {HUGE_INT}, "beta": 1.6',
+             "q must be a number, got an integer past float range"),
+            (f'"dt": {HUGE_INT}, "q": 1.49, "beta": 1.6',
+             "dt must be a number, got an integer past float range"),
         ],
-        ids=["bool_beta", "string_q", "null_q", "missing_q", "bool_residual", "string_dt"],
+        ids=["bool_beta", "string_q", "null_q", "missing_q", "bool_residual", "string_dt",
+             "huge_q", "huge_dt"],
     )
     def test_fits_json_field_not_a_number_is_data_error(self, tmp_path, capsys, row, message):
-        # float() would read true as 1.0 and "1.49" as 1.49
+        # float() would read true as 1.0 and "1.49" as 1.49, and overflow on HUGE_INT
         path = tmp_path / "fits.json"
         path.write_text(
             f'[{{"dt": 4, "q": 1.5, "beta": 1.7}}, {{{row}}}, {{"dt": 16, "q": 1.45, "beta": 1.5}}]',
@@ -654,6 +669,30 @@ class TestBadInputExitCodes:
         assert capsys.readouterr().err == (
             f"qgfit: data error: cannot parse fits file {path}: {message}\n"
         )
+
+    @pytest.mark.parametrize(
+        "name, dt, message",
+        [
+            ("fits.csv", "0", "dt must be a positive integer, got 0"),
+            ("fits.csv", "-4", "dt must be a positive integer, got -4"),
+            ("fits.json", "0", "dt must be a positive integer, got 0"),
+            ("fits.json", "-4", "dt must be a positive integer, got -4"),
+            ("fits.csv", HUGE_INT, "in column 'dt'"),
+        ],
+        ids=["csv_zero", "csv_negative", "json_zero", "json_negative", "csv_huge"],
+    )
+    def test_fits_bad_dt_is_data_error(self, tmp_path, capsys, name, dt, message):
+        if name == "fits.json":
+            path = fits_json(tmp_path, dt=int(dt))
+        else:
+            path = tmp_path / name
+            path.write_text(f"dt,q,beta\n{dt},1.5,1.7\n8,1.49,1.6\n16,1.45,1.5\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["scaling", "--fits", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qgfit: data error: cannot parse fits file {path}: ")
+        assert message in err
+        assert not out.exists()
 
     def test_fits_json_whole_float_dt_is_read(self, tmp_path):
         path = fits_json(tmp_path, dt=4.0, converged=False)

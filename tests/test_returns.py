@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qgfit.estimation import load_scale_fits
 from qgfit.qgaussian import QGaussianParams, ccdf_abs, pdf, sample
 from qgfit.returns import (
     DegenerateSeriesError,
@@ -21,6 +22,7 @@ from qgfit.returns import (
     normalize,
     numerical_pdf,
     pool,
+    read_ccdf_csv,
     read_price_csv,
 )
 
@@ -361,18 +363,45 @@ def dictreader_prices(path):
 
 
 def _walk_csv():
+    # falling steps keep the prices an exceedance curve and a beta column too
     rng = np.random.default_rng(11)
-    prices = 100.0 * np.exp(np.cumsum(3e-3 * rng.standard_t(3.0, 2000)))
-    return "timestamp,price\n" + "".join(f"{t},{p:.17g}\n" for t, p in enumerate(prices.tolist()))
+    prices = np.exp(-np.cumsum(rng.exponential(3e-3, 2000)))
+    rows = (f"{t},2,{p:.17g}\n" for t, p in enumerate(prices.tolist(), 1))
+    return "timestamp,volume,price\n" + "".join(rows)
 
 
+# Every table reader parses these.  The values also make a valid exceedance
+# curve (x from timestamp, ccdf from price) and fits table (dt from
+# timestamp, beta from price, q from volume).
 PRICE_CSV_CASES = {
-    "crlf": "timestamp,price\r\n0,100.5\r\n1,101.25\r\n2,99.0\r\n",
-    "reordered_extra_column": "price,volume,timestamp\n100.5,7,0\n101.25,3,1\n99,1,2\n",
-    "quoted": '"timestamp","price"\n0,"100.5"\n"1",101.25\n2,99\n',
-    "trailing_blank_line": "timestamp,price\n0,100.5\n1,101.25\n\n",
+    "crlf": "timestamp,volume,price\r\n1,2,0.75\r\n2,2,0.5\r\n4,2,0.25\r\n",
+    "reordered_extra_column": "price,volume,timestamp\n0.75,2,1\n0.5,1.5,2\n0.25,1.25,4\n",
+    "quoted": '"timestamp","volume","price"\n1,2,"0.75"\n"2","2",0.5\n4,2,0.25\n',
+    "trailing_blank_line": "timestamp,volume,price\n1,2,0.75\n2,2,0.5\n\n",
     "random_walk_17_digits": _walk_csv(),
 }
+
+# The curve and fits readers: the header renames that turn a case into their
+# table, and the two columns of their result read from timestamp and price.
+TABLE_READERS = {
+    "curve": (
+        read_ccdf_csv,
+        {"timestamp": "x", "price": "ccdf"},
+        lambda ccdf: (ccdf.thresholds, ccdf.probabilities),
+    ),
+    "fits": (
+        load_scale_fits,
+        {"timestamp": "dt", "price": "beta", "volume": "q"},
+        lambda fits: ([f.dt for f in fits], [f.beta for f in fits]),
+    ),
+}
+
+
+def write_table(path, text, renames):
+    for old, new in renames.items():
+        text = text.replace(old, new)
+    path.write_bytes(text.encode("utf-8"))
+    return path
 
 
 class TestIO:
@@ -385,6 +414,28 @@ class TestIO:
         assert series.timestamps.dtype == np.int64
         assert np.array_equal(series.timestamps, timestamps)
         assert np.array_equal(series.values, prices)
+
+    @pytest.mark.parametrize("reader", sorted(TABLE_READERS))
+    @pytest.mark.parametrize("case", sorted(PRICE_CSV_CASES))
+    def test_table_csv_matches_dictreader(self, tmp_path, case, reader):
+        read, renames, columns = TABLE_READERS[reader]
+        text = PRICE_CSV_CASES[case]
+        first, second = columns(read(write_table(tmp_path / "table.csv", text, renames)))
+        timestamps, prices = dictreader_prices(write_table(tmp_path / "prices.csv", text, {}))
+        assert np.array_equal(first, timestamps)
+        assert np.array_equal(second, prices)
+
+    @pytest.mark.parametrize("reader", sorted(TABLE_READERS))
+    def test_table_short_row(self, tmp_path, reader):
+        read, renames, _ = TABLE_READERS[reader]
+        text = "timestamp,volume,price\n1,2,0.75\n2\n"
+        with pytest.raises(ValueError, match="malformed row"):
+            read(write_table(tmp_path / "table.csv", text, renames))
+
+    def test_ccdf_column_preferred_over_ccdf_empirical(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("ccdf_empirical,x,ccdf\n0.9,1,0.5\n0.8,2,0.25\n", encoding="utf-8")
+        assert read_ccdf_csv(path).probabilities.tolist() == [0.5, 0.25]
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -415,7 +466,7 @@ class TestIO:
     def test_bad_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("timestamp,price\n0,hello\n", encoding="utf-8")
-        with pytest.raises(PriceDataError):
+        with pytest.raises(PriceDataError, match="in column 'price'"):
             read_price_csv(path)
 
     def test_nonpositive_price(self, tmp_path):
