@@ -262,14 +262,14 @@ def _read_csv_columns(
     with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
         header = next(csv.reader(fh), None)
         index = {name: i for i, name in enumerate(header or ())}  # last duplicate wins
-        for name, alias in fallback.items():
-            if name not in index and alias in index:
-                index[name] = index[alias]
+        index |= {c: index[a] for c, a in fallback.items() if c not in index and a in index}
         if not index.keys() >= columns.keys():
             wanted = (f"{c} (or {fallback[c]})" if c in fallback else c for c in columns)
             raise ValueError(f"expected columns {','.join(wanted)}, got {header}")
         # a header-only file is not malformed; each reader's checks judge no rows
         warnings.simplefilter("ignore", UserWarning)
+        # older numpy parses "4.5" as the integer 4 and only warns
+        warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float")
         try:
             return np.loadtxt(
                 fh,
@@ -282,7 +282,7 @@ def _read_csv_columns(
             )
         except ValueError as exc:
             # numpy gives the 1-based number of the column it could not convert
-            number = re.search(r"column (\d+)", str(exc))
+            number = re.search(r"at row \d+, column (\d+)\.$", str(exc))
             where = f" in column {header[int(number[1]) - 1]!r}" if number else ""
             raise ValueError(f"malformed row ({exc}){where}") from exc
 

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -678,8 +679,12 @@ class TestBadInputExitCodes:
             ("fits.json", "0", "dt must be a positive integer, got 0"),
             ("fits.json", "-4", "dt must be a positive integer, got -4"),
             ("fits.csv", HUGE_INT, "in column 'dt'"),
+            ("fits.csv", "4.5", "in column 'dt'"),
+            ("fits.csv", "4.0", "in column 'dt'"),
         ],
-        ids=["csv_zero", "csv_negative", "json_zero", "json_negative", "csv_huge"],
+        ids=[
+            "csv_zero", "csv_negative", "json_zero", "json_negative", "csv_huge", "csv_4.5", "csv_4.0"
+        ],
     )
     def test_fits_bad_dt_is_data_error(self, tmp_path, capsys, name, dt, message):
         if name == "fits.json":
@@ -688,7 +693,10 @@ class TestBadInputExitCodes:
             path = tmp_path / name
             path.write_text(f"dt,q,beta\n{dt},1.5,1.7\n8,1.49,1.6\n16,1.45,1.5\n", encoding="utf-8")
         out = tmp_path / "o"
-        assert cli.main(["scaling", "--fits", str(path), "--out", str(out)]) == 2
+        with warnings.catch_warnings():
+            # as the installed command runs: numpy's deprecation warnings ignored
+            warnings.simplefilter("ignore", DeprecationWarning)
+            assert cli.main(["scaling", "--fits", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"qgfit: data error: cannot parse fits file {path}: ")
         assert message in err

@@ -469,6 +469,13 @@ class TestIO:
         with pytest.raises(PriceDataError, match="in column 'price'"):
             read_price_csv(path)
 
+    def test_bad_row_column_named_from_numpy_suffix(self, tmp_path):
+        # numpy quotes the bad value before naming its column
+        path = tmp_path / "bad.csv"
+        path.write_text("timestamp,price\n0,column 9\n", encoding="utf-8")
+        with pytest.raises(PriceDataError, match="in column 'price'"):
+            read_price_csv(path)
+
     def test_nonpositive_price(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("timestamp,price\n0,1.0\n1,-3.0\n", encoding="utf-8")
