@@ -11,7 +11,9 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import sys
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -214,27 +216,24 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def _check_out_dir(out: Path) -> None:
-    """Raise UsageError now if `out` could not be created later; create nothing.
-
-    The nearest existing ancestor of `out` (or `out` itself) must be a
-    directory this process can write into.
-    """
-    existing = out
-    while not existing.exists() and existing != existing.parent:
-        existing = existing.parent
-    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
-        raise UsageError(
-            f"cannot create output directory {out}: {existing} is not a writable directory"
-        )
-
-
 @contextmanager
-def _writing_to(out: Path):
-    """Create `out` for a command's write phase; a failed write is a UsageError."""
+def _output_dir(out: Path):
+    """A stage directory for a command's files, renamed into `out` if the command succeeds.
+
+    Made in `out` or its nearest existing ancestor before any input is read,
+    it checks that `out` is writable and keeps each rename on one filesystem.
+    It is always removed.  An OSError is a UsageError: readers raise ValueError.
+    """
+    existing = next((p for p in (out, *out.parents) if p.exists()), out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        yield
+        stage = Path(tempfile.mkdtemp(prefix=".qgfit-", dir=existing))
+        try:
+            yield stage
+            out.mkdir(parents=True, exist_ok=True)
+            for path in sorted(stage.iterdir()):
+                os.replace(path, out / path.name)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
     except OSError as exc:
         raise UsageError(f"cannot write output under {out}: {exc}") from exc
 
@@ -246,23 +245,22 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_fit_curve(args, dt: int, ccdf, fitted: ScaleFitResult) -> None:
+def _write_fit_curve(stage: Path, fmt: str, ccdf, fitted: ScaleFitResult) -> None:
     model = ccdf_abs(QGaussianParams(fitted.q, fitted.beta), ccdf.thresholds).tolist()
-    if args.format == "json":
+    if fmt == "json":
         payload = {
             "id": "pooled",
-            "dt": dt,
+            "dt": ccdf.dt,
             "n_samples": ccdf.n_samples,
             "x": [float(v) for v in ccdf.thresholds],
             "ccdf_empirical": [float(v) for v in ccdf.probabilities],
             "ccdf_fitted": model,
         }
-        (args.out / f"ccdf_dt{dt}.json").write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
+        text = json.dumps(payload, indent=2) + "\n"
+        (stage / f"ccdf_dt{ccdf.dt}.json").write_text(text, encoding="utf-8")
     else:
         _write_rows(
-            args.out / f"ccdf_dt{dt}.csv",
+            stage / f"ccdf_dt{ccdf.dt}.csv",
             ["x", "ccdf_empirical", "ccdf_fitted"],
             (
                 (f"{x:.12g}", f"{p:.12g}", f"{m:.12g}")
@@ -271,20 +269,15 @@ def _write_fit_curve(args, dt: int, ccdf, fitted: ScaleFitResult) -> None:
         )
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
     try:
         grid = GridSpec(min=args.grid_min, max=args.grid_max, count=args.grid_count)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if not args.input:
         raise UsageError("fit requires at least one --input file")
-    _check_out_dir(args.out)
-    missing = [p for p in args.input if not Path(p).is_file()]
-    if missing:
-        raise PriceDataError(f"input file(s) not found: {', '.join(missing)}")
     series = [read_price_csv(p) for p in args.input]
 
-    fits: list[ScaleFitResult] = []
     curves = []
     for dt in args.dt:
         pooled = pool([normalize(log_returns(s, dt)) for s in series])
@@ -299,21 +292,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 f"(q={fit.q:.6g}, beta={fit.beta:.6g})",
                 file=sys.stderr,
             )
-        fits.append(fit)
-        curves.append((dt, ccdf, fit))
+        curves.append((ccdf, fit))
 
-    with _writing_to(args.out):
-        scale_fits_to_csv(fits, args.out / "table.csv")
-        scale_fits_to_json(fits, args.out / "fits.json")
-        for dt, ccdf, fit in curves:
-            _write_fit_curve(args, dt, ccdf, fit)
-    print(f"wrote {len(fits)} fits to {args.out}")
-    return EXIT_OK
+    fits = [fit for _, fit in curves]
+    scale_fits_to_csv(fits, stage / "table.csv")
+    scale_fits_to_json(fits, stage / "fits.json")
+    for ccdf, fit in curves:
+        _write_fit_curve(stage, args.format, ccdf, fit)
+    return f"wrote {len(fits)} fits to {args.out}"
 
 
-def cmd_scaling(args: argparse.Namespace) -> int:
-    if not args.fits.is_file():
-        raise PriceDataError(f"fits file not found: {args.fits}")
+def cmd_scaling(args: argparse.Namespace, stage: Path) -> str:
     try:
         fits = load_scale_fits(args.fits)
     except ValueError as exc:
@@ -339,29 +328,24 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         }
         for key, _, p, _, _ in regressions
     }
-    with _writing_to(args.out):
-        text = json.dumps(payload, indent=2) + "\n"
-        (args.out / "scaling.json").write_text(text, encoding="utf-8")
-        for _, name, p, x, y in regressions:
-            xs = columns[x]
-            fitted = [p.amplitude * v ** p.exponent for v in xs]
-            _write_rows(args.out / f"{name}.csv", [x, y, "fitted"], zip(xs, columns[y], fitted))
-    print(f"wrote scaling report to {args.out}")
-    return EXIT_OK
+    (stage / "scaling.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    for _, name, p, x, y in regressions:
+        xs = columns[x]
+        fitted = [p.amplitude * v ** p.exponent for v in xs]
+        _write_rows(stage / f"{name}.csv", [x, y, "fitted"], zip(xs, columns[y], fitted))
+    return f"wrote scaling report to {args.out}"
 
 
-def cmd_table1(args: argparse.Namespace) -> int:
-    with _writing_to(args.out):
-        _write_rows(
-            args.out / "table1.csv",
-            ["dt", "q", "beta"],
-            ((dt, f"{q:.2f}", f"{beta:.2f}") for dt, q, beta in TABLE1_ROWS),
-        )
-    print(f"wrote {args.out / 'table1.csv'}")
-    return EXIT_OK
+def cmd_table1(args: argparse.Namespace, stage: Path) -> str:
+    _write_rows(
+        stage / "table1.csv",
+        ["dt", "q", "beta"],
+        ((dt, f"{q:.2f}", f"{beta:.2f}") for dt, q, beta in TABLE1_ROWS),
+    )
+    return f"wrote {args.out / 'table1.csv'}"
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace, stage: Path) -> str:
     if args.n < 2:
         raise UsageError(f"synth needs n >= 2 price samples, got {args.n}")
     try:
@@ -369,7 +353,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    _check_out_dir(args.out)
     increments = sample(params, args.n - 1, seed=args.seed)
     log_price = np.zeros(args.n)
     np.cumsum(increments, out=log_price[1:])
@@ -402,19 +385,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"the one before: the increments fall below float64's price resolution"
         )
 
-    path = args.out / "synth.csv"
-    with _writing_to(args.out), open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(stage / "synth.csv", "w", newline="", encoding="utf-8") as fh:
         fh.write("timestamp,price\r\n")
         for start in range(0, args.n, _SYNTH_BLOCK_ROWS):
             block = prices[start : start + _SYNTH_BLOCK_ROWS].tolist()
             fh.write("".join(f"{t},{p:.17g}\r\n" for t, p in enumerate(block, start)))
-    print(f"wrote {path}")
-    return EXIT_OK
+    return f"wrote {args.out / 'synth.csv'}"
 
 
-def cmd_pdfplot(args: argparse.Namespace) -> int:
-    if not args.ccdf.is_file():
-        raise PriceDataError(f"CCDF file not found: {args.ccdf}")
+def cmd_pdfplot(args: argparse.Namespace, stage: Path) -> str:
     try:
         params = QGaussianParams(args.q, args.beta)
     except ValueError as exc:
@@ -422,23 +401,21 @@ def cmd_pdfplot(args: argparse.Namespace) -> int:
     ccdf = read_ccdf_csv(args.ccdf)
     xs, numeric = numerical_pdf(ccdf)
     model = 2.0 * pdf(params, xs)  # folded density of |r|
-    with _writing_to(args.out):
-        _write_rows(
-            args.out / "pdfplot.csv",
-            ["x", "pdf_numeric", "pdf_model"],
-            (
-                (f"{x:.12g}", f"{n:.12g}", f"{m:.12g}")
-                for x, n, m in zip(xs, numeric, model)
-            ),
-        )
-    print(f"wrote {args.out / 'pdfplot.csv'}")
-    return EXIT_OK
+    _write_rows(
+        stage / "pdfplot.csv",
+        ["x", "pdf_numeric", "pdf_model"],
+        ((f"{x:.12g}", f"{n:.12g}", f"{m:.12g}") for x, n, m in zip(xs, numeric, model)),
+    )
+    return f"wrote {args.out / 'pdfplot.csv'}"
 
 
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
-        return args.runner(args)
+        with _output_dir(args.out) as stage:
+            summary = args.runner(args, stage)
+        print(summary)  # once the files are in --out
+        return EXIT_OK
     except SystemExit as exc:  # argparse: --help, or a usage error already printed
         return int(exc.code or 0)
     except UsageError as exc:
@@ -447,7 +424,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"qgfit: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, FileNotFoundError) as exc:  # PriceDataError and the like
+    except ValueError as exc:  # PriceDataError and the like
         print(f"qgfit: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

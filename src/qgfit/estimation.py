@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .qgaussian import QGaussianParams, ccdf_abs, tail_to_q
-from .returns import EmpiricalCCDF, _read_csv_columns
+from .returns import EmpiricalCCDF, _open_input, _read_csv_columns
 
 __all__ = [
     "InsufficientTailPointsError",
@@ -71,6 +71,8 @@ class ScaleFitResult:
     def __post_init__(self):
         if self.dt < 1:
             raise ValueError(f"dt must be a positive integer, got {self.dt}")
+        if self.dt > np.iinfo(np.int64).max:  # as in the int64 dt column of a fits CSV
+            raise ValueError(f"dt must be at most 2**63 - 1, got {self.dt}")
         if not math.isfinite(self.residual):
             raise ValueError("fit residual must be finite")
         if not (math.isfinite(self.q) and math.isfinite(self.beta)):
@@ -268,16 +270,17 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
     """Read fit results from a JSON file or a dt,q,beta CSV table.
 
     Diagnostics a JSON object leaves out, and all of a CSV row's, take the
-    `ScaleFitResult` placeholders; other CSV columns are ignored.  Each JSON
-    object needs `dt`, `q` and `beta`; a value that is not a JSON number in
-    float range, a `dt` or `n_points` that is not a whole number, or a
-    `converged` that is not a boolean is a ValueError naming the field.
+    `ScaleFitResult` placeholders; other CSV columns are ignored.  A file
+    that cannot be opened is a ValueError, as is a JSON object without `dt`,
+    `q` or `beta`, or with a value that is not a JSON number in float range,
+    a `dt` or `n_points` that is not whole or a non-boolean `converged`.
     """
     path = Path(path)
     if path.suffix.lower() != ".json":
         table = _read_csv_columns(path, {"dt": np.int64, "q": float, "beta": float})
         return [ScaleFitResult(*row) for row in table.tolist()]
-    rows = json.loads(path.read_text(encoding="utf-8"))
+    with _open_input(path) as fh:
+        rows = json.load(fh)
     if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
         raise ValueError("expected a JSON list of objects with dt, q and beta")
     for i, r in enumerate(rows, 1):

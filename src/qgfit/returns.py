@@ -9,6 +9,7 @@ the exceedance curve back into a density.
 from __future__ import annotations
 
 import csv
+import itertools
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -246,6 +247,14 @@ def numerical_pdf(ccdf: EmpiricalCCDF) -> tuple[np.ndarray, np.ndarray]:
     return mids, density
 
 
+def _open_input(path: Path):
+    """Open text file `path`; a file that cannot be opened is a ValueError without the path."""
+    try:
+        return open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot open: {exc.strerror}") from exc
+
+
 def _read_csv_columns(
     path: Path, columns: dict[str, type], fallback: dict[str, str] | None = None
 ) -> np.ndarray:
@@ -255,11 +264,11 @@ def _read_csv_columns(
     columns are found in it by name, or by their `fallback` name, in any
     order; other columns are ignored.  The rows go through one `np.loadtxt`
     call: fields may be quoted, blank lines are skipped and a header-only
-    file has no rows.  A missing column or a malformed row is a ValueError
-    that does not name the path.
+    file has no rows.  A missing column or a malformed row, named by its
+    file line, is a ValueError that does not name the path.
     """
     fallback = fallback or {}
-    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+    with _open_input(path) as fh, warnings.catch_warnings():
         header = next(csv.reader(fh), None)
         index = {name: i for i, name in enumerate(header or ())}  # last duplicate wins
         index |= {c: index[a] for c, a in fallback.items() if c not in index and a in index}
@@ -281,10 +290,19 @@ def _read_csv_columns(
                 ndmin=1,
             )
         except ValueError as exc:
-            # numpy gives the 1-based number of the column it could not convert
-            number = re.search(r"at row \d+, column (\d+)\.$", str(exc))
-            where = f" in column {header[int(number[1]) - 1]!r}" if number else ""
-            raise ValueError(f"malformed row ({exc}){where}") from exc
+            # numpy counts non-blank rows from 0 for a bad value, whose column it
+            # counts from 1, and from 1 for a short row
+            text = str(exc)
+            found = re.search(r" at row (\d+)(?:, column (\d+)\.$|(?= with \d+ columns$))", text)
+            if found is None:
+                raise ValueError(f"malformed row ({exc})") from exc
+            fh.seek(0)  # only a malformed table is read twice, for its file line
+            reader = csv.reader(fh)
+            ends = (reader.line_num for record in reader if record)  # the header, then the rows
+            line = next(itertools.islice(ends, int(found[1]) + (found[2] is not None), None), "?")
+            where = f" in column {header[int(found[2]) - 1]!r}" if found[2] else ""
+            detail = text[: found.start()] + text[found.end() :]
+            raise ValueError(f"malformed row at line {line} ({detail}){where}") from exc
 
 
 def read_price_csv(path: str | Path) -> PriceSeries:

@@ -4,7 +4,9 @@ Commands run in this process through `cli.main`; a few cases run
 `python -m qgfit.cli` as a subprocess to cover the real entry point.
 """
 
+import builtins
 import csv
+import errno
 import io
 import json
 import math
@@ -681,9 +683,14 @@ class TestBadInputExitCodes:
             ("fits.csv", HUGE_INT, "in column 'dt'"),
             ("fits.csv", "4.5", "in column 'dt'"),
             ("fits.csv", "4.0", "in column 'dt'"),
+            ("fits.csv", str(2**63), "in column 'dt'"),
+            ("fits.json", str(2**63), "dt must be at most 2**63 - 1, got 9223372036854775808"),
+            ("fits.csv", "1" + "0" * 20, "in column 'dt'"),
+            ("fits.json", "1" + "0" * 20, "dt must be at most 2**63 - 1, got 1" + "0" * 20),
         ],
         ids=[
-            "csv_zero", "csv_negative", "json_zero", "json_negative", "csv_huge", "csv_4.5", "csv_4.0"
+            "csv_zero", "csv_negative", "json_zero", "json_negative", "csv_huge", "csv_4.5",
+            "csv_4.0", "csv_past_int64", "json_past_int64", "csv_1e20", "json_1e20",
         ],
     )
     def test_fits_bad_dt_is_data_error(self, tmp_path, capsys, name, dt, message):
@@ -701,6 +708,17 @@ class TestBadInputExitCodes:
         assert err.startswith(f"qgfit: data error: cannot parse fits file {path}: ")
         assert message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["fits.csv", "fits.json"])
+    def test_fits_largest_dt_is_read(self, tmp_path, name):
+        # the last int64, which a fits CSV's dt column can hold, loads from either format
+        if name == "fits.json":
+            path = fits_json(tmp_path, dt=2**63 - 1)
+        else:
+            path = tmp_path / name
+            rows = f"dt,q,beta\n{2**63 - 1},1.5,1.7\n8,1.49,1.6\n16,1.45,1.5\n"
+            path.write_text(rows, encoding="utf-8")
+        assert cli.main(["scaling", "--fits", str(path), "--out", str(tmp_path / "o")]) == 0
 
     def test_fits_json_whole_float_dt_is_read(self, tmp_path):
         path = fits_json(tmp_path, dt=4.0, converged=False)
@@ -791,3 +809,134 @@ class TestBadInputExitCodes:
         monkeypatch.setattr(cli, "read_price_csv", unexpected)
         assert cli.main(["fit", "--input", str(path), "--dt", "1", "--out", str(out)]) == 1
         assert str(out) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["table1", "scaling", "pdfplot"])
+    def test_out_under_regular_file_is_usage_error_before_input(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        out = tmp_path / "file" / "o"
+        out.parent.write_text("x")
+        own = {
+            "scaling": ["--fits", tmp_path / "fits.csv"],
+            "pdfplot": ["--ccdf", tmp_path / "curve.csv", "--q", 1.5, "--beta", 1],
+        }.get(command, [])
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("input read or output written before --out was checked")
+
+        for name in ("load_scale_fits", "read_ccdf_csv", "_write_rows"):
+            monkeypatch.setattr(cli, name, unexpected)
+        assert run(command, *own, "--out", out) == 1
+        assert str(out) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize(
+        "flag, name",
+        [("--input", "prices.csv"), ("--fits", "fits.csv"), ("--fits", "fits.json"),
+         ("--ccdf", "curve.csv")],
+        ids=["input", "fits_csv", "fits_json", "ccdf"],
+    )
+    def test_unopenable_input_is_data_error(self, tmp_path, capsys, kind, flag, name):
+        path = tmp_path / name
+        if kind == "directory":
+            path.mkdir()
+        command = {"--input": ["fit"], "--fits": ["scaling"]}.get(
+            flag, ["pdfplot", "--q", 1.5, "--beta", 1]
+        )
+        out = tmp_path / "o"
+        assert run(*command, flag, path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qgfit: data error: ")
+        assert f"{path}: cannot open: " in err
+        assert not out.exists()
+        assert not list(tmp_path.rglob(".qgfit-*"))
+
+
+def snapshot(directory):
+    """Every file under `directory` by relative path, with its bytes."""
+    return {
+        p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()
+    }
+
+
+def fail_at_write(monkeypatch, root, k):
+    """Make the k-th file opened for writing under `root` fail with ENOSPC."""
+    real_open = io.open
+    opened = []
+
+    def faulty_open(file, mode="r", *args, **kwargs):
+        if (
+            isinstance(file, (str, os.PathLike))
+            and set(mode) & set("wxa")
+            and Path(file).is_relative_to(root)
+        ):
+            opened.append(file)
+            if len(opened) == k:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    # open() and Path.write_text() both end in io.open
+    monkeypatch.setattr(builtins, "open", faulty_open)
+    monkeypatch.setattr(io, "open", faulty_open)
+
+
+class TestOutputStage:
+    """Files move into --out only when the command succeeds."""
+
+    @pytest.fixture(params=["fit", "scaling"])
+    def runs(self, request, tmp_path):
+        """The argv, without --out, of an earlier run and of a run with other output."""
+        if request.param == "fit":
+            old = ["fit", "--input", write_walk(tmp_path / "a.csv", n=2000), "--dt", "1,4,16"]
+            new = ["fit", "--input", write_walk(tmp_path / "b.csv", n=3000), "--dt", "1,4,16"]
+            return old, new
+        exact = tmp_path / "exact.csv"
+        exact.write_text(
+            "dt,q,beta\n"
+            + "".join(f"{dt},{1 + 0.6 * dt**-0.081},{2 * dt**-0.106}\n" for dt in (4, 8, 16, 30)),
+            encoding="utf-8",
+        )
+        run("table1", "--out", tmp_path / "t1")
+        return ["scaling", "--fits", tmp_path / "t1" / "table1.csv"], ["scaling", "--fits", exact]
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "fresh"])
+    def test_write_fault_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch, runs, existing):
+        old, new = runs
+        out = tmp_path / "o"
+        if existing:
+            assert run(*old, "--out", out) == 0
+        before = snapshot(out) if existing else None
+        probe = tmp_path / "probe"
+        assert run(*new, "--out", probe) == 0
+        written = snapshot(probe)
+        if existing:
+            assert written.keys() == before.keys()
+            assert all(written[name] != before[name] for name in before)
+        capsys.readouterr()
+        for k in range(1, len(written) + 1):
+            with monkeypatch.context() as patch:
+                fail_at_write(patch, tmp_path, k)
+                assert run(*new, "--out", out) == 1
+            printed = capsys.readouterr()
+            assert f"cannot write output under {out}: " in printed.err
+            assert "No space left" in printed.err
+            assert printed.out == ""  # no "wrote" line for files that were not written
+            if existing:
+                assert snapshot(out) == before
+            else:
+                assert not out.exists()
+            assert not list(tmp_path.rglob(".qgfit-*"))
+        assert run(*new, "--out", out) == 0
+        assert snapshot(out) == written
+
+    def test_other_files_in_out_are_kept(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        assert run("table1", "--out", out) == 0
+        assert run("scaling", "--fits", out / "table1.csv", "--out", out) == 0
+        assert (out / "notes.txt").read_text(encoding="utf-8") == "kept"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "notes.txt", "scaling.json", "scaling_invbeta_vs_dt.csv",
+            "scaling_invbeta_vs_q.csv", "scaling_q_vs_dt.csv", "table1.csv",
+        ]

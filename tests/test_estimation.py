@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgfit import estimation, qgaussian
 from qgfit.datasets import TABLE1_ROWS
@@ -55,6 +57,16 @@ class TestFitQGaussianCcdf:
         second = fit_qgaussian_ccdf(model_ccdf(1.48, 1.52), init=(first.q, first.beta))
         assert abs(second.q - first.q) < 1e-8
         assert abs(second.beta - first.beta) < 1e-8
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.floats(1.05, 2.5), st.floats(0.1, 10.0))
+    def test_fit_of_fitted_curve_is_fixed_point(self, q, beta):
+        # fit -> ccdf_abs -> fit: a noiseless model curve fits back to itself
+        first = fit_qgaussian_ccdf(model_ccdf(q, beta))
+        second = fit_qgaussian_ccdf(model_ccdf(first.q, first.beta))
+        assert second.q == pytest.approx(first.q, abs=1e-6)
+        assert second.beta == pytest.approx(first.beta, rel=1e-5)
+        assert first.q == pytest.approx(q, abs=1e-6)
 
     def test_synthetic_draws(self):
         # thresholds past the ~100-exceedance quantile are dominated by
@@ -296,6 +308,15 @@ class TestSerialization:
     def test_rejects_non_finite_parameters(self, q, beta):
         with pytest.raises(ValueError, match="must be finite"):
             ScaleFitResult(dt=4, q=q, beta=beta, residual=0.0, n_points=0, converged=True)
+
+    @pytest.mark.parametrize("dt, ok", [(1, True), (2**63 - 1, True), (0, False), (2**63, False)])
+    def test_dt_within_int64(self, dt, ok):
+        # the range a fits CSV's int64 column can hold, whatever the format
+        if ok:
+            assert ScaleFitResult(dt=dt, q=1.5, beta=1.2).dt == dt
+        else:
+            with pytest.raises(ValueError, match=f"dt must be .*, got {dt}$"):
+                ScaleFitResult(dt=dt, q=1.5, beta=1.2)
 
     def test_rejects_bad_csv(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -404,6 +404,10 @@ def write_table(path, text, renames):
     return path
 
 
+SHORT_ROW = "(invalid column index 1 with 1 columns)"
+BAD_PRICE = "(could not convert string 'x' to float64) in column 'price'"
+
+
 class TestIO:
     @pytest.mark.parametrize("case", sorted(PRICE_CSV_CASES))
     def test_price_csv_matches_dictreader(self, tmp_path, case):
@@ -431,6 +435,46 @@ class TestIO:
         text = "timestamp,volume,price\n1,2,0.75\n2\n"
         with pytest.raises(ValueError, match="malformed row"):
             read(write_table(tmp_path / "table.csv", text, renames))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize(
+        "lines, line, message",
+        [
+            (["0,1.0", "1"], 3, SHORT_ROW),
+            (["0,1.0", "1,x"], 3, BAD_PRICE),
+            (["0,1.0", "", "1"], 4, SHORT_ROW),
+            (["0,1.0", "", "1,x"], 4, BAD_PRICE),
+            (["", '"0",1.0', "", "", "1,x", "2,3.0"], 6, BAD_PRICE),
+            (['"0', '",1.0', "1"], 4, SHORT_ROW),
+        ],
+        ids=["short", "bad_value", "blank_short", "blank_bad_value", "blanks", "quoted_newline"],
+    )
+    def test_malformed_row_names_file_line(self, tmp_path, newline, lines, line, message):
+        # numpy counts data rows, from 0 or from 1 by the kind of error
+        path = tmp_path / "bad.csv"
+        path.write_bytes(newline.join(["timestamp,price", *lines, ""]).encode("utf-8"))
+        with pytest.raises(PriceDataError) as info:
+            read_price_csv(path)
+        assert str(info.value).startswith(f"{path}: malformed row at line {line} {message}")
+        assert "at row" not in str(info.value)
+
+    @pytest.mark.parametrize("reader", sorted(TABLE_READERS))
+    def test_table_malformed_row_names_file_line(self, tmp_path, reader):
+        read, renames, _ = TABLE_READERS[reader]
+        text = "timestamp,volume,price\r\n1,2,0.75\r\n\r\n2,3,x\r\n"
+        with pytest.raises(ValueError, match=r"malformed row at line 4 \(could not convert"):
+            read(write_table(tmp_path / "table.csv", text, renames))
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("name", ["prices.csv", "curve.csv", "fits.csv", "fits.json"])
+    def test_unopenable_file(self, tmp_path, kind, name):
+        # an input that cannot be opened is a data error, not an OSError
+        read = {"prices.csv": read_price_csv, "curve.csv": read_ccdf_csv}.get(name, load_scale_fits)
+        path = tmp_path / name
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(ValueError, match="cannot open: "):
+            read(path)
 
     def test_ccdf_column_preferred_over_ccdf_empirical(self, tmp_path):
         path = tmp_path / "curve.csv"
