@@ -15,6 +15,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,6 @@ from .estimation import (
     ScaleFitResult,
     fit_qgaussian_ccdf,
     load_scale_fits,
-    scale_fits_to_csv,
-    scale_fits_to_json,
     scaling_report,
 )
 from .qgaussian import QGaussianParams, ccdf_abs, pdf, sample
@@ -245,27 +244,26 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
 def _write_fit_curve(stage: Path, fmt: str, ccdf, fitted: ScaleFitResult) -> None:
-    model = ccdf_abs(QGaussianParams(fitted.q, fitted.beta), ccdf.thresholds).tolist()
+    columns = {
+        "x": ccdf.thresholds.tolist(),
+        "ccdf_empirical": ccdf.probabilities.tolist(),
+        "ccdf_fitted": ccdf_abs(QGaussianParams(fitted.q, fitted.beta), ccdf.thresholds).tolist(),
+    }
+    name = f"ccdf_dt{ccdf.dt}.{fmt}"
     if fmt == "json":
-        payload = {
-            "id": "pooled",
-            "dt": ccdf.dt,
-            "n_samples": ccdf.n_samples,
-            "x": [float(v) for v in ccdf.thresholds],
-            "ccdf_empirical": [float(v) for v in ccdf.probabilities],
-            "ccdf_fitted": model,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-        (stage / f"ccdf_dt{ccdf.dt}.json").write_text(text, encoding="utf-8")
+        _write_json(
+            stage / name, {"id": "pooled", "dt": ccdf.dt, "n_samples": ccdf.n_samples, **columns}
+        )
     else:
         _write_rows(
-            stage / f"ccdf_dt{ccdf.dt}.csv",
-            ["x", "ccdf_empirical", "ccdf_fitted"],
-            (
-                (f"{x:.12g}", f"{p:.12g}", f"{m:.12g}")
-                for x, p, m in zip(ccdf.thresholds, ccdf.probabilities, model)
-            ),
+            stage / name,
+            list(columns),
+            ((f"{x:.12g}", f"{p:.12g}", f"{m:.12g}") for x, p, m in zip(*columns.values())),
         )
 
 
@@ -278,7 +276,7 @@ def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
         raise UsageError("fit requires at least one --input file")
     series = [read_price_csv(p) for p in args.input]
 
-    curves = []
+    fits = []
     for dt in args.dt:
         pooled = pool([normalize(log_returns(s, dt)) for s in series])
         ccdf = empirical_ccdf(pooled, dt, grid)
@@ -292,13 +290,15 @@ def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
                 f"(q={fit.q:.6g}, beta={fit.beta:.6g})",
                 file=sys.stderr,
             )
-        curves.append((ccdf, fit))
-
-    fits = [fit for _, fit in curves]
-    scale_fits_to_csv(fits, stage / "table.csv")
-    scale_fits_to_json(fits, stage / "fits.json")
-    for ccdf, fit in curves:
         _write_fit_curve(stage, args.format, ccdf, fit)
+        fits.append(fit)
+
+    _write_rows(
+        stage / "table.csv",
+        ["dt", "q", "beta"],
+        ((f.dt, f"{f.q:.10g}", f"{f.beta:.10g}") for f in fits),
+    )
+    _write_json(stage / "fits.json", [asdict(f) for f in fits])
     return f"wrote {len(fits)} fits to {args.out}"
 
 
@@ -328,7 +328,7 @@ def cmd_scaling(args: argparse.Namespace, stage: Path) -> str:
         }
         for key, _, p, _, _ in regressions
     }
-    (stage / "scaling.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(stage / "scaling.json", payload)
     for _, name, p, x, y in regressions:
         xs = columns[x]
         fitted = [p.amplitude * v ** p.exponent for v in xs]
@@ -353,9 +353,15 @@ def cmd_synth(args: argparse.Namespace, stage: Path) -> str:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    increments = sample(params, args.n - 1, seed=args.seed)
-    log_price = np.zeros(args.n)
-    np.cumsum(increments, out=log_price[1:])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        increments = sample(params, args.n - 1, seed=args.seed)
+        log_price = np.zeros(args.n)
+        np.cumsum(increments, out=log_price[1:])
+    if not np.isfinite(log_price).all():
+        raise NumericalError(
+            f"synth at q={args.q}, beta={args.beta} gives a non-finite walk: chi-square "
+            f"draws underflow to 0 near q = 3, and a small beta overflows the increments"
+        )
     half_range = 0.5 * (log_price.max() - log_price.min())
     if half_range > _MAX_LOG_PRICE_HALF_RANGE:
         # A heavy-tailed walk this long leaves float64 price range; shrink the
@@ -373,11 +379,6 @@ def cmd_synth(args: argparse.Namespace, stage: Path) -> str:
         log_price -= 0.5 * (log_price.max() + log_price.min())
     prices = np.exp(log_price, out=log_price)
     prices *= 100.0
-    if not np.isfinite(prices).all():
-        raise NumericalError(
-            f"synth at q={args.q} gives non-finite prices: near q = 3 the "
-            f"chi-square draws underflow to 0, which makes increments infinite"
-        )
     repeats = np.count_nonzero(prices[1:] == prices[:-1])
     if repeats:
         raise NumericalError(

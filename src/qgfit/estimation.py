@@ -9,11 +9,10 @@ exponents.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +32,6 @@ __all__ = [
     "estimate_tail_exponent",
     "fit_power_law",
     "scaling_report",
-    "scale_fits_to_csv",
-    "scale_fits_to_json",
     "load_scale_fits",
 ]
 
@@ -50,6 +47,16 @@ DEFAULT_TAIL_FRACTION = 0.3
 _MIN_FIT_POINTS = 8
 _MIN_TAIL_POINTS = 5
 _LOG_FLOOR = 1e-300
+
+# The fields of a fits JSON object and the type each is read as.
+_JSON_FIELDS = {
+    "dt": int,
+    "q": float,
+    "beta": float,
+    "residual": float,
+    "n_points": int,
+    "converged": bool,
+}
 
 
 class InsufficientTailPointsError(ValueError):
@@ -250,22 +257,6 @@ def scaling_report(fits: list[ScaleFitResult]) -> ScalingReport:
     )
 
 
-def scale_fits_to_csv(fits: list[ScaleFitResult], path: str | Path) -> None:
-    """Write the per-scale results as the three-column dt,q,beta table."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dt", "q", "beta"])
-        for f in fits:
-            writer.writerow([f.dt, f"{f.q:.10g}", f"{f.beta:.10g}"])
-
-
-def scale_fits_to_json(fits: list[ScaleFitResult], path: str | Path) -> None:
-    """Write the per-scale results with full diagnostics as JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([asdict(f) for f in fits], fh, indent=2)
-        fh.write("\n")
-
-
 def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
     """Read fit results from a JSON file or a dt,q,beta CSV table.
 
@@ -285,14 +276,8 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
         raise ValueError("expected a JSON list of objects with dt, q and beta")
     for i, r in enumerate(rows, 1):
         _check_json_fit(i, r)
-    diagnostics = (("residual", float), ("n_points", int), ("converged", bool))
     return [
-        ScaleFitResult(
-            dt=int(r["dt"]),
-            q=float(r["q"]),
-            beta=float(r["beta"]),
-            **{name: cast(r[name]) for name, cast in diagnostics if name in r},
-        )
+        ScaleFitResult(**{name: cast(r[name]) for name, cast in _JSON_FIELDS.items() if name in r})
         for r in rows
     ]
 
@@ -302,16 +287,19 @@ def _check_json_fit(index: int, row: dict) -> None:
     for name in ("dt", "q", "beta"):
         if name not in row:
             raise ValueError(f"fit {index}: missing {name}")
-    for name in ("dt", "q", "beta", "residual", "n_points"):
-        value = row.get(name, 0)
-        whole = name in ("dt", "n_points")
+    for name, cast in _JSON_FIELDS.items():
+        if name not in row:
+            continue
+        value = row[name]
+        if cast is bool:
+            if not isinstance(value, bool):
+                raise ValueError(f"fit {index}: {name} must be true or false, got {value!r}")
+            continue
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not number or (whole and isinstance(value, float) and not value.is_integer()):
-            kind = "an integer" if whole else "a number"
+        if not number or (cast is int and isinstance(value, float) and not value.is_integer()):
+            kind = "an integer" if cast is int else "a number"
             raise ValueError(f"fit {index}: {name} must be {kind}, got {value!r}")
         if isinstance(value, int) and abs(value) > sys.float_info.max:  # float() overflows
             raise ValueError(
                 f"fit {index}: {name} must be a number, got an integer past float range"
             )
-    if not isinstance(row.get("converged", True), bool):
-        raise ValueError(f"fit {index}: converged must be true or false, got {row['converged']!r}")

@@ -139,17 +139,28 @@ class TestSynth:
         assert ("increments scaled" in capsys.readouterr().err) == (branch == "rescale")
         assert (written.split(b"\r\n")[1] == b"0,100") == (branch == "plain")
 
-    @pytest.mark.filterwarnings(
-        "ignore:divide by zero encountered:RuntimeWarning",
-        "ignore:invalid value encountered:RuntimeWarning",
-        "ignore:overflow encountered:RuntimeWarning",
-    )
     @pytest.mark.parametrize("q", [2.95, 2.99])
     def test_non_finite_prices_are_numerical_error(self, tmp_path, capsys, q):
         # chi-square draws underflow to 0 near q = 3, so some increments are infinite
         out = tmp_path / "o"
         assert run("synth", "--q", q, "--beta", 1, "--n", 100_000, "--seed", 1, "--out", out) == 3
         assert f"q={q}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "q, beta, seed",
+        [
+            (2.96875, 1.0, 87),  # a chi-square draw of 0 makes one increment infinite
+            (2.99, 1e-300, 1),  # dividing by sqrt(beta (3 - q)) overflows
+        ],
+    )
+    def test_non_finite_walk_fails_before_any_warning(self, tmp_path, capsys, q, beta, seed):
+        out = tmp_path / "o"
+        assert run("synth", "--q", q, "--beta", beta, "--n", 81, "--seed", seed, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"qgfit: numerical failure: synth at q={q}, beta={beta} ")
+        assert "warning" not in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_flattened_walk_is_numerical_error(self, tmp_path, capsys):

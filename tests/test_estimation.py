@@ -1,11 +1,14 @@
 """Tests for (q, beta) fitting, tail-exponent estimation, and scaling laws."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgfit import estimation, qgaussian
+from qgfit import cli, estimation, qgaussian
 from qgfit.datasets import TABLE1_ROWS
 from qgfit.estimation import (
     InsufficientTailPointsError,
@@ -14,8 +17,6 @@ from qgfit.estimation import (
     fit_power_law,
     fit_qgaussian_ccdf,
     load_scale_fits,
-    scale_fits_to_csv,
-    scale_fits_to_json,
     scaling_report,
 )
 from qgfit.qgaussian import QGaussianParams, ccdf_abs, sample, tail_to_q
@@ -268,24 +269,39 @@ class TestAtBound:
 
 
 class TestSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "fits.csv"
-        scale_fits_to_csv(TABLE1_FITS, path)
-        lines = path.read_text(encoding="utf-8").strip().splitlines()
-        assert lines[0] == "dt,q,beta"
-        assert len(lines) == 10
-        loaded = load_scale_fits(path)
-        assert [f.dt for f in loaded] == [r[0] for r in TABLE1_ROWS]
-        assert loaded[0].q == pytest.approx(1.53)
+    @pytest.fixture(scope="class")
+    def fit_out(self, tmp_path_factory):
+        """`fit`'s files for one synthetic walk at three scales, by curve format."""
+        root = tmp_path_factory.mktemp("fit")
+        synth = ["synth", "--q", "1.5", "--beta", "1", "--n", "20000", "--seed", "3"]
+        assert cli.main([*synth, "--out", str(root)]) == 0
+        for fmt in ("csv", "json"):
+            argv = ["fit", "--input", str(root / "synth.csv"), "--dt", "1,2,4", "--format", fmt]
+            assert cli.main([*argv, "--out", str(root / fmt)]) == 0
+        return root
 
-    def test_json_round_trip(self, tmp_path):
-        path = tmp_path / "fits.json"
-        fits = [
-            ScaleFitResult(dt=4, q=1.5, beta=1.2, residual=0.01, n_points=60, converged=True)
-        ]
-        scale_fits_to_json(fits, path)
+    def test_csv_round_trip(self, fit_out):
+        path = fit_out / "csv" / "table.csv"
+        fits = load_scale_fits(fit_out / "csv" / "fits.json")
+        rows = [f"{f.dt},{f.q:.10g},{f.beta:.10g}" for f in fits]
+        assert path.read_bytes() == "\r\n".join(["dt,q,beta", *rows, ""]).encode()
         loaded = load_scale_fits(path)
-        assert loaded[0] == fits[0]
+        assert [f"{f.dt},{f.q:.10g},{f.beta:.10g}" for f in loaded] == rows
+        assert [f.dt for f in loaded] == [1, 2, 4]
+
+    def test_json_round_trip(self, fit_out):
+        path = fit_out / "csv" / "fits.json"
+        text = path.read_text(encoding="utf-8")
+        obj = json.loads(text)
+        assert text == json.dumps(obj, indent=2) + "\n"
+        assert [asdict(f) for f in load_scale_fits(path)] == obj
+        assert (fit_out / "json" / "fits.json").read_text(encoding="utf-8") == text
+        # a curve file, encoded the same way, keeps its keys in order
+        text = (fit_out / "json" / "ccdf_dt2.json").read_text(encoding="utf-8")
+        curve = json.loads(text)
+        assert text == json.dumps(curve, indent=2) + "\n"
+        assert list(curve) == ["id", "dt", "n_samples", "x", "ccdf_empirical", "ccdf_fitted"]
+        assert (curve["id"], curve["dt"], curve["n_samples"]) == ("pooled", 2, 19998)
 
     def test_missing_diagnostics_take_placeholders(self, tmp_path):
         # a CSV table's diagnostics are never read, even from extra columns
