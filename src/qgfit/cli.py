@@ -8,7 +8,6 @@ files under --out and never opens a display.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import shutil
@@ -48,9 +47,9 @@ EXIT_NUMERICAL = 3
 # Largest half-range of log prices the synthetic walk may span before the
 # increments are rescaled to keep exp() inside float64.
 _MAX_LOG_PRICE_HALF_RANGE = 600.0
-# Rows formatted into one string per write of synth.csv: the whole file is
-# never held as row strings.
-_SYNTH_BLOCK_ROWS = 4096
+# Rows formatted by one `%` per write of a CSV file: the whole file is never
+# held as row strings.
+_CSV_BLOCK_ROWS = 4096
 
 
 class UsageError(Exception):
@@ -95,15 +94,19 @@ def _dt_ladder(text: str) -> tuple[int, ...]:
     return ladder
 
 
-def _grid_count(text: str) -> int:
-    """Type of --grid-count: an integer of at least 8."""
-    try:
-        count = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
-    if count < 8:
-        raise argparse.ArgumentTypeError(f"must be at least 8, got {count}")
-    return count
+def _at_least(low: int):
+    """Type of an integer flag whose values start at `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _plot_format(text: str) -> str:
@@ -131,7 +134,7 @@ _FLAGS = (
     ),
     ("--grid-min", "fit", dict(type=float, default=GridSpec.min, help="lowest threshold")),
     ("--grid-max", "fit", dict(type=float, help="highest threshold; none caps it by the sample")),
-    ("--grid-count", "fit", dict(type=_grid_count, default=GridSpec.count, help="grid points")),
+    ("--grid-count", "fit", dict(type=_at_least(8), default=GridSpec.count, help="grid points")),
     ("--format", "fit", dict(type=_plot_format, default="csv", help="plot files: csv or json")),
     ("--fits", "scaling", dict(type=Path, required=True, help="dt,q,beta CSV table or fits.json")),
     (
@@ -141,8 +144,8 @@ _FLAGS = (
     ),
     ("--q", "synth pdfplot", dict(type=float, required=True, help="entropic index, 1 < q < 3")),
     ("--beta", "synth pdfplot", dict(type=float, required=True, help="width, beta > 0")),
-    ("--n", "synth", dict(type=int, required=True, help="number of price samples")),
-    ("--seed", "synth", dict(type=int, default=0, help="random seed")),
+    ("--n", "synth", dict(type=_at_least(2), required=True, help="number of prices")),
+    ("--seed", "synth", dict(type=_at_least(0), default=0, help="random seed")),
     (
         "--out",
         "fit scaling table1 synth pdfplot",
@@ -237,11 +240,21 @@ def _output_dir(out: Path):
         raise UsageError(f"cannot write output under {out}: {exc}") from exc
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
+def _write_rows(path: Path, header: list[str], row_format: str, *columns) -> None:
+    """CSV of `header` and the equal-length `columns`, each row `row_format % row`, CRLF-ended.
+
+    An ndarray block becomes Python numbers, so `%r` writes a float's shortest repr.
+    """
+    width = len(columns)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [column[start : start + _CSV_BLOCK_ROWS] for column in columns]
+            rows = len(block[0])
+            fields = [None] * (rows * width)
+            for i, part in enumerate(block):
+                fields[i::width] = part.tolist() if isinstance(part, np.ndarray) else part
+            fh.write((row_format + "\r\n") * rows % tuple(fields))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -260,11 +273,7 @@ def _write_fit_curve(stage: Path, fmt: str, ccdf, fitted: ScaleFitResult) -> Non
             stage / name, {"id": "pooled", "dt": ccdf.dt, "n_samples": ccdf.n_samples, **columns}
         )
     else:
-        _write_rows(
-            stage / name,
-            list(columns),
-            ((f"{x:.12g}", f"{p:.12g}", f"{m:.12g}") for x, p, m in zip(*columns.values())),
-        )
+        _write_rows(stage / name, list(columns), "%.12g,%.12g,%.12g", *columns.values())
 
 
 def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
@@ -293,11 +302,8 @@ def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
         _write_fit_curve(stage, args.format, ccdf, fit)
         fits.append(fit)
 
-    _write_rows(
-        stage / "table.csv",
-        ["dt", "q", "beta"],
-        ((f.dt, f"{f.q:.10g}", f"{f.beta:.10g}") for f in fits),
-    )
+    columns = ([f.dt for f in fits], [f.q for f in fits], [f.beta for f in fits])
+    _write_rows(stage / "table.csv", ["dt", "q", "beta"], "%d,%.10g,%.10g", *columns)
     _write_json(stage / "fits.json", [asdict(f) for f in fits])
     return f"wrote {len(fits)} fits to {args.out}"
 
@@ -332,30 +338,27 @@ def cmd_scaling(args: argparse.Namespace, stage: Path) -> str:
     for _, name, p, x, y in regressions:
         xs = columns[x]
         fitted = [p.amplitude * v ** p.exponent for v in xs]
-        _write_rows(stage / f"{name}.csv", [x, y, "fitted"], zip(xs, columns[y], fitted))
+        _write_rows(stage / f"{name}.csv", [x, y, "fitted"], "%r,%r,%r", xs, columns[y], fitted)
     return f"wrote scaling report to {args.out}"
 
 
 def cmd_table1(args: argparse.Namespace, stage: Path) -> str:
-    _write_rows(
-        stage / "table1.csv",
-        ["dt", "q", "beta"],
-        ((dt, f"{q:.2f}", f"{beta:.2f}") for dt, q, beta in TABLE1_ROWS),
-    )
+    _write_rows(stage / "table1.csv", ["dt", "q", "beta"], "%d,%.2f,%.2f", *zip(*TABLE1_ROWS))
     return f"wrote {args.out / 'table1.csv'}"
 
 
 def cmd_synth(args: argparse.Namespace, stage: Path) -> str:
-    if args.n < 2:
-        raise UsageError(f"synth needs n >= 2 price samples, got {args.n}")
     try:
         params = QGaussianParams(args.q, args.beta)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    try:
+        log_price = np.zeros(args.n)
+    except (MemoryError, ValueError) as exc:  # numpy: no memory, or past the address space
+        raise UsageError(f"--n {args.n} prices do not fit in memory: {exc}") from exc
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         increments = sample(params, args.n - 1, seed=args.seed)
-        log_price = np.zeros(args.n)
         np.cumsum(increments, out=log_price[1:])
     if not np.isfinite(log_price).all():
         raise NumericalError(
@@ -386,11 +389,7 @@ def cmd_synth(args: argparse.Namespace, stage: Path) -> str:
             f"the one before: the increments fall below float64's price resolution"
         )
 
-    with open(stage / "synth.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write("timestamp,price\r\n")
-        for start in range(0, args.n, _SYNTH_BLOCK_ROWS):
-            block = prices[start : start + _SYNTH_BLOCK_ROWS].tolist()
-            fh.write("".join(f"{t},{p:.17g}\r\n" for t, p in enumerate(block, start)))
+    _write_rows(stage / "synth.csv", ["timestamp", "price"], "%d,%.17g", range(args.n), prices)
     return f"wrote {args.out / 'synth.csv'}"
 
 
@@ -402,11 +401,8 @@ def cmd_pdfplot(args: argparse.Namespace, stage: Path) -> str:
     ccdf = read_ccdf_csv(args.ccdf)
     xs, numeric = numerical_pdf(ccdf)
     model = 2.0 * pdf(params, xs)  # folded density of |r|
-    _write_rows(
-        stage / "pdfplot.csv",
-        ["x", "pdf_numeric", "pdf_model"],
-        ((f"{x:.12g}", f"{n:.12g}", f"{m:.12g}") for x, n, m in zip(xs, numeric, model)),
-    )
+    header = ["x", "pdf_numeric", "pdf_model"]
+    _write_rows(stage / "pdfplot.csv", header, "%.12g,%.12g,%.12g", xs, numeric, model)
     return f"wrote {args.out / 'pdfplot.csv'}"
 
 

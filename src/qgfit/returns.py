@@ -127,6 +127,8 @@ class GridSpec:
     count: int = 60
 
     def __post_init__(self):
+        if not isinstance(self.count, (int, np.integer)):  # np.geomspace takes only integers
+            raise ValueError(f"grid count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.count}")
         if not 0.0 < self.min < np.inf:

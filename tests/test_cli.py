@@ -14,11 +14,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgfit
 from qgfit import cli
@@ -46,7 +49,7 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
-SYNTH_BLOCK_ROWS = cli._SYNTH_BLOCK_ROWS
+BLOCK_ROWS = cli._CSV_BLOCK_ROWS
 
 
 def synth_csv_reference(q, beta, n, seed):
@@ -75,6 +78,30 @@ def synth_csv_reference(q, beta, n, seed):
     writer = csv.writer(text)
     writer.writerow(["timestamp", "price"])
     writer.writerows((t, f"{p:.17g}") for t, p in enumerate(prices))
+    return text.getvalue().encode("utf-8")
+
+
+# Each row format the commands write, with the csv.writer field that formats
+# each value alike: the value through a format spec, or None for the value itself.
+ROW_FORMATS = {
+    "%d,%.17g": (None, ".17g"),  # synth.csv
+    "%.12g,%.12g,%.12g": (".12g", ".12g", ".12g"),  # curves, pdfplot.csv
+    "%d,%.10g,%.10g": (None, ".10g", ".10g"),  # table.csv
+    "%d,%.2f,%.2f": (None, ".2f", ".2f"),  # table1.csv
+    "%r,%r,%r": (None, None, None),  # scaling CSVs
+}
+EDGE_FLOATS = [5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 1e308, -1e308, 0.1]
+
+
+def csv_writer_reference(header, specs, columns):
+    """CSV bytes of `columns` built by csv.writer, each field formatted by its spec."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(
+        [v if spec is None else format(v, spec) for v, spec in zip(row, specs)]
+        for row in zip(*columns)
+    )
     return text.getvalue().encode("utf-8")
 
 
@@ -124,10 +151,10 @@ class TestSynth:
         [
             (1.5, 1.0, 50_000, 3, "plain"),
             (1.9, 0.5, 20_000, 4, "rescale"),
-            (1.3, 0.01, SYNTH_BLOCK_ROWS, 3, "recentre"),
+            (1.3, 0.01, BLOCK_ROWS, 3, "recentre"),
             (1.5, 1.0, 2, 9, "plain"),
-            (1.2, 3.0, SYNTH_BLOCK_ROWS + 1, 5, "plain"),
-            (2.5, 10.0, 2 * SYNTH_BLOCK_ROWS + 3, 6, "rescale"),
+            (1.2, 3.0, BLOCK_ROWS + 1, 5, "plain"),
+            (2.5, 10.0, 2 * BLOCK_ROWS + 3, 6, "rescale"),
         ],
     )
     def test_bytes_match_documented_walk(self, tmp_path, capsys, q, beta, n, seed, branch):
@@ -186,6 +213,22 @@ class TestSynth:
 
     def test_n_too_small(self, tmp_path):
         assert run("synth", "--q", 1.5, "--beta", 1, "--n", 1, "--out", tmp_path / "o") == 1
+
+    # Sizes whose allocation fails at once: 2**60 float64 values span 2**63 bytes.
+    @pytest.mark.parametrize("n", [2**60, 2**62])
+    def test_n_past_memory_is_usage_error(self, tmp_path, capsys, n):
+        out = tmp_path / "o"
+        assert run("synth", "--q", 1.5, "--beta", 1, "--n", n, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"qgfit: usage error: --n {n} ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("synth", "--q", 1.5, "--beta", 1, "--n", 10, "--seed", -1, "--out", out) == 1
+        assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_params(self, tmp_path):
         assert run("synth", "--q", 3.5, "--beta", 1, "--n", 100, "--out", tmp_path / "o") == 1
@@ -452,6 +495,7 @@ class TestConfigPrecedence:
             ("grid-count = abc", "--grid-count"),
             ("grid-count = 4", "--grid-count"),
             ("seed = 1.5", "--seed"),
+            ("seed = -1", "--seed"),
             ("grid-min = low", "--grid-min"),
             ("dt = 4,2", "--dt"),
             ("format = xml", "--format"),
@@ -889,6 +933,40 @@ def fail_at_write(monkeypatch, root, k):
     # open() and Path.write_text() both end in io.open
     monkeypatch.setattr(builtins, "open", faulty_open)
     monkeypatch.setattr(io, "open", faulty_open)
+
+
+class TestWriteRows:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        row_format=st.sampled_from(sorted(ROW_FORMATS)),
+        n=st.sampled_from([0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]),
+        floats=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS),
+            min_size=1,
+            max_size=20,
+        ),
+        ints=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=20),
+        seed=st.integers(0, 2**32 - 1),
+        as_arrays=st.booleans(),
+    )
+    def test_bytes_match_csv_writer(self, row_format, n, floats, ints, seed, as_arrays):
+        # columns as the commands pass them: lists or ndarrays, and synth's ticks as a range
+        rng = np.random.default_rng(seed)
+        columns = []
+        for field in row_format.split(","):
+            pool = ints if field == "%d" else floats
+            columns.append([pool[i] for i in rng.integers(len(pool), size=n)])
+        passed = [np.array(c) if as_arrays else c for c in columns]
+        if row_format == "%d,%.17g":
+            passed[0] = range(seed, seed + n)
+            columns[0] = list(passed[0])
+        specs = ROW_FORMATS[row_format]
+        header = ["a", "b", "c"][: len(specs)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.csv"
+            cli._write_rows(path, header, row_format, *passed)
+            written = path.read_bytes()
+        assert written == csv_writer_reference(header, specs, columns)
 
 
 class TestOutputStage:

@@ -203,6 +203,11 @@ class TestEmpiricalCcdf:
         with pytest.raises(ValueError):
             GridSpec(count=1)
 
+    @pytest.mark.parametrize("count", [60.5, 60.0, "60"])
+    def test_non_integer_grid_count(self, count):
+        with pytest.raises(ValueError, match="grid count must be an integer"):
+            GridSpec(count=count)
+
     def test_deterministic(self):
         w = 100.0 * np.exp(np.cumsum(np.sin(np.arange(300)) * 0.01))
         out1 = empirical_ccdf(normalize(log_returns(series_from_values(w), 2)), dt=2)
