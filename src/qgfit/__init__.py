@@ -5,34 +5,46 @@ the two-parameter (q, beta) distribution family and extracts the
 power-law scaling of both parameters against the sampling interval.
 """
 
-from .datasets import DEFAULT_DT_LADDER, TABLE1_ROWS
-from .estimation import (
-    PowerLawFit,
-    ScaleFitResult,
-    ScalingReport,
-    estimate_tail_exponent,
-    fit_power_law,
-    fit_qgaussian_ccdf,
-    scaling_report,
-)
-from .qgaussian import (
-    QGaussianParams,
-    ccdf_abs,
-    normalization,
-    pdf,
-    sample,
-    tail_to_q,
-)
-from .returns import (
-    EmpiricalCCDF,
-    GridSpec,
-    PriceSeries,
-    empirical_ccdf,
-    log_returns,
-    normalize,
-    numerical_pdf,
-    pool,
-)
+import gc as _gc
+
+# numpy and scipy.optimize leave ~50,000 long-lived objects; the cyclic
+# collector would scan them repeatedly while they load.  The caller's
+# setting is restored afterwards, so a caller that had it off keeps it off.
+_gc_was_enabled = _gc.isenabled()
+_gc.disable()
+try:
+    from .datasets import DEFAULT_DT_LADDER, TABLE1_ROWS
+    from .estimation import (
+        PowerLawFit,
+        ScaleFitResult,
+        ScalingReport,
+        estimate_tail_exponent,
+        fit_power_law,
+        fit_qgaussian_ccdf,
+        scaling_report,
+    )
+    from .qgaussian import (
+        QGaussianParams,
+        ccdf_abs,
+        normalization,
+        pdf,
+        sample,
+        tail_to_q,
+    )
+    from .returns import (
+        EmpiricalCCDF,
+        GridSpec,
+        PriceSeries,
+        empirical_ccdf,
+        log_returns,
+        normalize,
+        numerical_pdf,
+        pool,
+    )
+finally:
+    if _gc_was_enabled:
+        _gc.enable()
+    del _gc, _gc_was_enabled
 
 __version__ = "0.1.0"
 

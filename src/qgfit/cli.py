@@ -8,6 +8,7 @@ files under --out and never opens a display.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import shutil
@@ -143,7 +144,7 @@ _FLAGS = (
         dict(type=Path, required=True, help="CSV with columns x and ccdf (or ccdf_empirical)"),
     ),
     ("--q", "synth pdfplot", dict(type=float, required=True, help="entropic index, 1 < q < 3")),
-    ("--beta", "synth pdfplot", dict(type=float, required=True, help="width, beta > 0")),
+    ("--beta", "synth pdfplot", dict(type=float, required=True, help="width, 0 < beta < inf")),
     ("--n", "synth", dict(type=_at_least(2), required=True, help="number of prices")),
     ("--seed", "synth", dict(type=_at_least(0), default=0, help="random seed")),
     (
@@ -407,6 +408,16 @@ def cmd_pdfplot(args: argparse.Namespace, stage: Path) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one command; with `argv` None, as the process entry, on `sys.argv`.
+
+    As the process entry it first freezes the heap left by the imports, so
+    no later collection scans it, the ones at interpreter exit included.
+    Frozen objects are never freed: no output may wait on the collector to
+    be closed.  An in-process caller passes a list and its heap is left as
+    it was.
+    """
+    if argv is None:
+        gc.freeze()
     try:
         args = parse_args(argv)
         with _output_dir(args.out) as stage:

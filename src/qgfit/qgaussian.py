@@ -39,8 +39,8 @@ class QGaussianParams:
     def __post_init__(self):
         if not 1.0 < self.q < 3.0:
             raise ValueError(f"q must lie in (1, 3), got q={self.q}")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got beta={self.beta}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must lie in (0, inf), got beta={self.beta}")
 
     @property
     def b_exponent(self) -> float:
@@ -70,7 +70,9 @@ def pdf(params: QGaussianParams, x):
     # The power runs on a 1-d array even for scalar x: numpy's 0-d power can
     # round differently, and scalar and array calls must agree bit for bit.
     d = np.atleast_1d(xs)
-    kernel = 1.0 + (params.q - 1.0) * (params.beta * d * d)
+    # A kernel past float range is inf, and its power the exact limit 0.
+    with np.errstate(over="ignore"):
+        kernel = 1.0 + (params.q - 1.0) * (params.beta * d * d)
     out = normalization(params) * kernel ** -params.b_exponent
     return out if xs.ndim else float(out[0])
 

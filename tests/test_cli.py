@@ -32,16 +32,20 @@ TABLE1_FIRST = "4,1.53,1.78"
 TABLE1_LAST = "780,1.35,1.03"
 
 
-def run_cli(*argv):
+def run_python(*args):
     # The child imports the same qgfit as this process, installed or not.
     package_root = str(Path(qgfit.__file__).parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "qgfit.cli", *map(str, argv)],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
+
+
+def run_cli(*argv):
+    return run_python("-m", "qgfit.cli", *map(str, argv))
 
 
 def run(*argv):
@@ -232,6 +236,12 @@ class TestSynth:
 
     def test_invalid_params(self, tmp_path):
         assert run("synth", "--q", 3.5, "--beta", 1, "--n", 100, "--out", tmp_path / "o") == 1
+
+    def test_infinite_beta_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("synth", "--q", 1.5, "--beta", "inf", "--n", 10, "--out", out) == 1
+        assert "usage error: beta must lie in (0, inf), got beta=inf" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFit:
@@ -431,6 +441,14 @@ class TestPdfPlot:
         out = tmp_path / "o"
         run("pdfplot", "--ccdf", model_ccdf_file, "--q", 1.4, "--beta", 0.7, "--out", out)
         assert all(float(r["pdf_numeric"]) >= 0.0 for r in read_csv_rows(out / "pdfplot.csv"))
+
+    def test_infinite_beta_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "tiny.csv"
+        path.write_text("x,ccdf\n0.5,0.8\n1.0,0.5\n2.0,0.2\n")
+        out = tmp_path / "o"
+        assert run("pdfplot", "--ccdf", path, "--q", 1.5, "--beta", "inf", "--out", out) == 1
+        assert "usage error: beta must lie in (0, inf), got beta=inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_ccdf(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -1029,3 +1047,36 @@ class TestOutputStage:
             "notes.txt", "scaling.json", "scaling_invbeta_vs_dt.csv",
             "scaling_invbeta_vs_q.csv", "scaling_q_vs_dt.csv", "table1.csv",
         ]
+
+
+class TestProcessEntry:
+    """The collector stays off while qgfit imports; only the process entry freezes the heap."""
+
+    @pytest.mark.parametrize(
+        "call, frozen", [("cli.main()", True), ("cli.main(sys.argv[1:])", False)]
+    )
+    def test_only_process_entry_freezes(self, tmp_path, call, frozen):
+        code = f"import gc, sys\nfrom qgfit import cli\nprint({call}, gc.get_freeze_count())"
+        res = run_python("-c", code, "table1", "--out", tmp_path)
+        status, count = res.stdout.splitlines()[-1].split()
+        assert (status, int(count) > 0) == ("0", frozen)
+        assert (tmp_path / "table1.csv").is_file()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_import_keeps_callers_collector_setting(self, enabled):
+        # Collections started once numpy is loading: at most the one that the
+        # objects allocated during the pause trigger when it ends.
+        code = (
+            "import gc, sys\n"
+            f"gc.enable() if {enabled} else gc.disable()\n"
+            "runs = []\n"
+            "def count(phase, info):\n"
+            "    runs.append(phase == 'start' and 'numpy' in sys.modules)\n"
+            "gc.callbacks.append(count)\n"
+            "import qgfit\n"
+            "print(gc.isenabled(), sum(runs), hasattr(qgfit, 'gc'))"
+        )
+        res = run_python("-c", code)
+        enabled_after, collections, has_gc = res.stdout.split()
+        assert (enabled_after, has_gc) == (str(enabled), "False")
+        assert int(collections) <= int(enabled)

@@ -7,6 +7,7 @@ kinds of input behind the tracebacks mended by hand in the past.
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -185,10 +186,17 @@ def test_generated_config_file(command, config):
     run_guarded(files, [command, *REQUIRED[command], "--config", "run.cfg"])
 
 
+# In-range values, or any float, with the edges that st.floats() seldom
+# draws in 200 examples sampled outright.
+EDGE_FLOAT = st.floats() | st.sampled_from(
+    [math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 2.2e-308]
+)
+Q = st.floats(1.01, 2.99) | EDGE_FLOAT
+BETA = st.floats(1e-3, 1e3) | EDGE_FLOAT
 SYNTH_FLAGS = st.one_of(
-    st.tuples(
-        st.floats(1.01, 2.99), st.floats(1e-3, 1e3), st.integers(2, 3000), st.integers(0, 2**70)
-    ).map(lambda flags: list(map(repr, flags))),
+    st.tuples(Q, BETA, st.integers(2, 3000), st.integers(0, 2**70)).map(
+        lambda flags: list(map(repr, flags))
+    ),
     st.tuples(FLAG_VALUE, FLAG_VALUE, st.integers(-2, 3000).map(str), FLAG_VALUE).map(list),
 )
 
@@ -198,3 +206,17 @@ SYNTH_FLAGS = st.one_of(
 def test_synth_on_generated_flags(flags):
     q, beta, n, seed = flags
     run_guarded({}, ["synth", "--q", q, "--beta", beta, "--n", n, "--seed", seed])
+
+
+PDFPLOT_FLAGS = st.one_of(
+    st.tuples(Q, BETA).map(lambda flags: list(map(repr, flags))),
+    st.tuples(FLAG_VALUE, FLAG_VALUE).map(list),
+)
+
+
+@GUARD
+@given(PDFPLOT_FLAGS)
+def test_pdfplot_on_generated_flags(flags):
+    q, beta = flags
+    curve = "x,ccdf\n0.5,0.8\n1.0,0.5\n2.0,0.2\n1e3,1e-6\n"
+    run_guarded({"curve.csv": curve}, ["pdfplot", "--ccdf", "curve.csv", "--q", q, "--beta", beta])

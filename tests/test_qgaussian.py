@@ -107,7 +107,7 @@ class TestParams:
         with pytest.raises(ValueError):
             QGaussianParams(q, 1.0)
 
-    @pytest.mark.parametrize("beta", [0.0, -1.0])
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf])
     def test_beta_out_of_range(self, beta):
         with pytest.raises(ValueError):
             QGaussianParams(1.5, beta)
@@ -163,6 +163,17 @@ class TestPdf:
     def test_strictly_positive(self):
         p = QGaussianParams(1.2, 2.0)
         assert pdf(p, 1e6) > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_kernel_past_float_range_is_zero(self):
+        # beta x^2 overflows: the density is its limit 0, with no warning
+        p = QGaussianParams(1.5, 1e308)
+        x = np.array([0.0, 1e-160, 2.0, 1e200, math.inf])
+        values = pdf(p, x)
+        scalar = [pdf(p, float(v)) for v in x]
+        assert values[0] == normalization(p) and values[1] > 0.0
+        assert values[2:].tolist() == [0.0, 0.0, 0.0]
+        assert np.array_equal(values, scalar)
 
     @pytest.mark.parametrize("q,shift", [(1.01, 0.0), (1.53, 0.0), (2.0, -0.75), (2.9, 3.0)])
     def test_array_equals_scalar_calls(self, q, shift):
