@@ -10,6 +10,10 @@ import gc as _gc
 # numpy and scipy.optimize leave ~50,000 long-lived objects; the cyclic
 # collector would scan them repeatedly while they load.  The caller's
 # setting is restored afterwards, so a caller that had it off keeps it off.
+# The pause's allocations would start a collection of all of them at once;
+# freeze and unfreeze move every young object, the caller's too, to the
+# oldest generation unscanned instead.  They would also unfreeze what a
+# caller froze, so a caller that froze objects pays that collection.
 _gc_was_enabled = _gc.isenabled()
 _gc.disable()
 try:
@@ -42,6 +46,9 @@ try:
         pool,
     )
 finally:
+    if not _gc.get_freeze_count():
+        _gc.freeze()
+        _gc.unfreeze()
     if _gc_was_enabled:
         _gc.enable()
     del _gc, _gc_was_enabled

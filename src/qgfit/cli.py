@@ -68,9 +68,26 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return action.help if action.default is None else super()._get_help_string(action)
 
 
+class _NegativeNumber:
+    """argparse's test of whether an argument that starts with '-' is a value, not a flag.
+
+    Any form float() reads is one (-1e+308, -inf), where argparse's own
+    pattern takes only digits and a point.
+    """
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return text.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         super().__init__(formatter_class=_HelpFormatter, **kwargs)
+        self._negative_number_matcher = _NegativeNumber
 
     # argparse exits with status 2 on bad flags; this tool reserves 2 for
     # data errors, so usage problems are remapped to 1.

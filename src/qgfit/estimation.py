@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .qgaussian import QGaussianParams, ccdf_abs, tail_to_q
-from .returns import EmpiricalCCDF, _open_input, _read_csv_columns
+from .returns import EmpiricalCCDF, _read_csv_columns, _reading
 
 __all__ = [
     "InsufficientTailPointsError",
@@ -262,15 +262,16 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
 
     Diagnostics a JSON object leaves out, and all of a CSV row's, take the
     `ScaleFitResult` placeholders; other CSV columns are ignored.  A file
-    that cannot be opened is a ValueError, as is a JSON object without `dt`,
-    `q` or `beta`, or with a value that is not a JSON number in float range,
-    a `dt` or `n_points` that is not whole or a non-boolean `converged`.
+    that cannot be opened or read is a ValueError, as is a JSON object
+    without `dt`, `q` or `beta`, or with a value that is not a JSON number in
+    float range, a `dt` or `n_points` that is not whole or a non-boolean
+    `converged`.
     """
     path = Path(path)
     if path.suffix.lower() != ".json":
         table = _read_csv_columns(path, {"dt": np.int64, "q": float, "beta": float})
         return [ScaleFitResult(*row) for row in table.tolist()]
-    with _open_input(path) as fh:
+    with _reading(path) as fh:
         rows = json.load(fh)
     if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
         raise ValueError("expected a JSON list of objects with dt, q and beta")

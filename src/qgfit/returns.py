@@ -12,6 +12,7 @@ import csv
 import itertools
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,6 +42,9 @@ MIN_TAIL_EXCEEDANCES = 100
 # rounding (a steady growth, say): centering them leaves only rounding noise.
 _MIN_RELATIVE_VOL = float(np.sqrt(np.finfo(float).eps))
 
+# Names that np.loadtxt, given a path, would open as compressed files.
+_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
 
 class DegenerateSeriesError(ValueError):
     """Raised when a return series has zero variance, up to rounding, and cannot be normalized."""
@@ -69,7 +73,7 @@ class PriceSeries:
             raise ValueError("timestamps and values must have equal length")
         if len(self.values) < 2:
             raise ValueError("price series needs at least 2 samples")
-        if not np.all(np.diff(self.timestamps) > 0):
+        if not np.all(self.timestamps[1:] > self.timestamps[:-1]):  # a diff could wrap
             raise ValueError("timestamps must be strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("prices must be finite")
@@ -152,14 +156,15 @@ def log_returns(series: PriceSeries, dt: int) -> np.ndarray:
         raise ValueError(f"dt={dt} must be smaller than the series length {len(series)}")
     ts = series.timestamps
     logw = series.log_values
-    if ts[-1] - ts[0] == len(ts) - 1:
+    if ts[0] + (len(ts) - 1) == ts[-1]:  # cannot wrap: ts[-1] is at least that
         # strictly increasing and no gaps: the pair of tick i is tick i + dt
         return logw[dt:] - logw[:-dt]
-    target = ts + dt
+    # only ticks up to int64 max - dt have a pair that int64 can hold
+    target = ts[: np.searchsorted(ts, np.iinfo(np.int64).max - dt, side="right")] + dt
     idx = np.searchsorted(ts, target)
     ok = idx < len(ts)
     ok[ok] &= ts[idx[ok]] == target[ok]
-    return logw[idx[ok]] - logw[ok]
+    return logw[idx[ok]] - logw[: len(target)][ok]
 
 
 def normalize(values: np.ndarray) -> np.ndarray:
@@ -249,12 +254,22 @@ def numerical_pdf(ccdf: EmpiricalCCDF) -> tuple[np.ndarray, np.ndarray]:
     return mids, density
 
 
-def _open_input(path: Path):
-    """Open text file `path`; a file that cannot be opened is a ValueError without the path."""
+@contextmanager
+def _reading(path: Path):
+    """Text file `path`, open for the block; an OSError is a ValueError without the path.
+
+    A file that cannot be opened is `cannot open`, and a fault while the
+    block reads it, or opens it again, is `cannot read`.
+    """
     try:
-        return open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot open: {exc.strerror}") from exc
+    with fh:
+        try:
+            yield fh
+        except OSError as exc:
+            raise ValueError(f"cannot read: {exc.strerror or exc}") from exc
 
 
 def _read_csv_columns(
@@ -266,12 +281,13 @@ def _read_csv_columns(
     columns are found in it by name, or by their `fallback` name, in any
     order; other columns are ignored.  The rows go through one `np.loadtxt`
     call: fields may be quoted, blank lines are skipped and a header-only
-    file has no rows.  A missing column or a malformed row, named by its
-    file line, is a ValueError that does not name the path.
+    file has no rows.  A missing column, a malformed row, named by its file
+    line, or a read fault is a ValueError that does not name the path.
     """
     fallback = fallback or {}
-    with _open_input(path) as fh, warnings.catch_warnings():
-        header = next(csv.reader(fh), None)
+    with _reading(path) as fh, warnings.catch_warnings():
+        reader = csv.reader(fh)
+        header = next(reader, None)
         index = {name: i for i, name in enumerate(header or ())}  # last duplicate wins
         index |= {c: index[a] for c, a in fallback.items() if c not in index and a in index}
         if not index.keys() >= columns.keys():
@@ -281,9 +297,14 @@ def _read_csv_columns(
         warnings.simplefilter("ignore", UserWarning)
         # older numpy parses "4.5" as the integer 4 and only warns
         warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float")
+        # numpy reads a path in large chunks and a handle a line at a time.  A
+        # pipe cannot be read twice, and numpy would decompress these names.
+        source = fh if not fh.seekable() or path.name.endswith(_DECOMPRESSED_SUFFIXES) else path
         try:
             return np.loadtxt(
-                fh,
+                source,
+                skiprows=reader.line_num if source is path else 0,  # the header record
+                encoding="utf-8",
                 dtype=list(columns.items()),
                 delimiter=",",
                 quotechar='"',
@@ -296,7 +317,7 @@ def _read_csv_columns(
             # counts from 1, and from 1 for a short row
             text = str(exc)
             found = re.search(r" at row (\d+)(?:, column (\d+)\.$|(?= with \d+ columns$))", text)
-            if found is None:
+            if found is None or not fh.seekable():  # a pipe's lines cannot be counted again
                 raise ValueError(f"malformed row ({exc})") from exc
             fh.seek(0)  # only a malformed table is read twice, for its file line
             reader = csv.reader(fh)

@@ -8,6 +8,7 @@ import builtins
 import csv
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -241,6 +242,26 @@ class TestSynth:
         out = tmp_path / "o"
         assert run("synth", "--q", 1.5, "--beta", "inf", "--n", 10, "--out", out) == 1
         assert "usage error: beta must lie in (0, inf), got beta=inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--beta", "-1e+308", "beta must lie in (0, inf), got beta=-1e+308"),
+            ("--beta", "-inf", "beta must lie in (0, inf), got beta=-inf"),
+            ("--beta", "-1", "beta must lie in (0, inf), got beta=-1.0"),
+            ("--q", "-1E5", "q must lie in (1, 3), got q=-100000.0"),
+            ("--q", "-inf", "q must lie in (1, 3), got q=-inf"),
+        ],
+    )
+    def test_negative_value_in_any_float_form_is_checked(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        # argparse took "-1e+308" and "-inf" for flags and named no value
+        out = tmp_path / "o"
+        flags = {"--q": "1.5", "--beta": "1", flag: value}
+        assert run("synth", *itertools.chain(*flags.items()), "--n", 10, "--out", out) == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -924,6 +945,69 @@ class TestBadInputExitCodes:
         assert not out.exists()
         assert not list(tmp_path.rglob(".qgfit-*"))
 
+    @pytest.mark.parametrize(
+        "flag, name, text",
+        [
+            ("--input", "prices.csv", "timestamp,price\n0,1.0\n1,2.0\n2,4.0\n"),
+            ("--input", "prices.csv.gz", "timestamp,price\n0,1.0\n1,2.0\n2,4.0\n"),
+            ("--fits", "fits.csv", "dt,q,beta\n4,1.5,1.7\n8,1.49,1.6\n16,1.45,1.5\n"),
+            ("--fits", "fits.json", '[\n{"dt": 4, "q": 1.5, "beta": 1.7}\n]\n'),
+            ("--ccdf", "curve.csv", "x,ccdf\n0.5,0.8\n1.0,0.5\n2.0,0.2\n"),
+        ],
+        ids=["input", "input_gz_name", "fits_csv", "fits_json", "ccdf"],
+    )
+    def test_read_fault_is_data_error(self, tmp_path, capsys, monkeypatch, flag, name, text):
+        # the file opens, but a read fails partway: not an output error
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        command = {"--input": ["fit", "--dt", "1"], "--fits": ["scaling"]}.get(
+            flag, ["pdfplot", "--q", 1.5, "--beta", 1]
+        )
+        out = tmp_path / "o"
+        fail_at_read(monkeypatch, path)
+        assert run(*command, flag, path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qgfit: data error: ")
+        assert f"{path}: cannot read: {os.strerror(errno.EIO)}" in err
+        assert not out.exists()
+        assert not list(tmp_path.rglob(".qgfit-*"))
+
+
+class _EIOAfterFirstLine(io.TextIOWrapper):
+    """A text file whose first line reads and whose every later read fails with EIO."""
+
+    served = False
+
+    def _fail(self):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    def __next__(self):
+        if self.served:
+            self._fail()
+        self.served = True
+        return super().__next__()
+
+    def read(self, size=-1):
+        self._fail()
+
+    def readline(self, size=-1):
+        self._fail()
+
+
+def fail_at_read(monkeypatch, path):
+    """Make `path` fail with EIO after its first line, however it is opened for reading."""
+    real_open = io.open
+
+    def faulty_open(file, mode="r", *args, encoding=None, newline=None, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file) == path and "r" in mode:
+            return _EIOAfterFirstLine(real_open(file, "rb"), encoding=encoding, newline=newline)
+        return real_open(file, mode, *args, encoding=encoding, newline=newline, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", faulty_open)
+    monkeypatch.setattr(io, "open", faulty_open)
+    # np.loadtxt opens a path through numpy's own opener
+    monkeypatch.setattr(np.lib._datasource, "open", faulty_open)
+
 
 def snapshot(directory):
     """Every file under `directory` by relative path, with its bytes."""
@@ -1064,8 +1148,8 @@ class TestProcessEntry:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_import_keeps_callers_collector_setting(self, enabled):
-        # Collections started once numpy is loading: at most the one that the
-        # objects allocated during the pause trigger when it ends.
+        # Collections started once numpy is loading: none, since the pause
+        # ends by moving its objects to the oldest generation unscanned.
         code = (
             "import gc, sys\n"
             f"gc.enable() if {enabled} else gc.disable()\n"
@@ -1079,4 +1163,17 @@ class TestProcessEntry:
         res = run_python("-c", code)
         enabled_after, collections, has_gc = res.stdout.split()
         assert (enabled_after, has_gc) == (str(enabled), "False")
-        assert int(collections) <= int(enabled)
+        assert int(collections) == 0
+
+    def test_import_leaves_callers_frozen_objects_frozen(self):
+        code = (
+            "import gc\n"
+            "kept = [[] for _ in range(1000)]\n"
+            "gc.freeze()\n"
+            "before = gc.get_freeze_count()\n"
+            "import qgfit\n"
+            "print(before, gc.get_freeze_count())"
+        )
+        before, after = map(int, run_python("-c", code).stdout.split())
+        # a few frozen objects may be freed meanwhile; unfreezing leaves none
+        assert before > 1000 and after > before // 2

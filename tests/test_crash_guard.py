@@ -2,8 +2,9 @@
 
 Every command must turn whatever it is given into an exit code of 0 to 3,
 raise nothing out of `main`, and leave no `.qgfit-*` stage directory behind.
-The inputs are fits JSON, CSV tables, --config files and synth flags, the
-kinds of input behind the tracebacks mended by hand in the past.
+The inputs are fits JSON, CSV tables (named with and without compression
+suffixes), --config files and synth flags, the kinds of input behind the
+tracebacks mended by hand in the past.
 """
 
 import json
@@ -139,6 +140,12 @@ REQUIRED = {
 }
 
 
+# Table file names: np.loadtxt, given a path, decompresses the last four
+# suffixes, but every table is text whatever its name.
+TABLE_SUFFIX = st.sampled_from([".csv", "", ".csv.gz", ".bz2", ".xz", ".lzma"])
+TABLE_NAME = {"fit": "walk.csv", "scaling": "fits.csv", "pdfplot": "curve.csv"}
+
+
 def run_guarded(files: dict[str, str], argv: list[str]) -> None:
     """Write `files` to a fresh directory, run `argv` there with --out in it, check the end."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -150,6 +157,13 @@ def run_guarded(files: dict[str, str], argv: list[str]) -> None:
         assert not list(root.rglob(".qgfit-*"))
 
 
+def run_on_table(command: str, text: str, suffix: str) -> None:
+    """Run `command` on `text` as its input table, named with `suffix` in place of `.csv`."""
+    name = TABLE_NAME[command].removesuffix(".csv") + suffix
+    argv = [name if a == TABLE_NAME[command] else a for a in REQUIRED[command]]
+    run_guarded({name: text}, [command, *argv])
+
+
 @GUARD
 @given(FITS_JSON)
 def test_scaling_on_generated_fits_json(text):
@@ -157,21 +171,21 @@ def test_scaling_on_generated_fits_json(text):
 
 
 @GUARD
-@given(table(["timestamp", "price"], PRICE_ROWS))
-def test_fit_on_generated_table(text):
-    run_guarded({"walk.csv": text}, ["fit", *REQUIRED["fit"]])
+@given(table(["timestamp", "price"], PRICE_ROWS), TABLE_SUFFIX)
+def test_fit_on_generated_table(text, suffix):
+    run_on_table("fit", text, suffix)
 
 
 @GUARD
-@given(table(["dt", "q", "beta"], FITS_ROWS))
-def test_scaling_on_generated_table(text):
-    run_guarded({"fits.csv": text}, ["scaling", *REQUIRED["scaling"]])
+@given(table(["dt", "q", "beta"], FITS_ROWS), TABLE_SUFFIX)
+def test_scaling_on_generated_table(text, suffix):
+    run_on_table("scaling", text, suffix)
 
 
 @GUARD
-@given(table(["x", "ccdf"], CURVE_ROWS))
-def test_pdfplot_on_generated_table(text):
-    run_guarded({"curve.csv": text}, ["pdfplot", *REQUIRED["pdfplot"]])
+@given(table(["x", "ccdf"], CURVE_ROWS), TABLE_SUFFIX)
+def test_pdfplot_on_generated_table(text, suffix):
+    run_on_table("pdfplot", text, suffix)
 
 
 @GUARD

@@ -1,7 +1,10 @@
 """Tests for the returns pipeline: log returns, normalization, CCDFs."""
 
 import csv
+import gzip
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -85,6 +88,39 @@ class TestLogReturns:
             ok = idx < len(ts)
             ok[ok] &= ts[idx[ok]] == ts[ok] + dt
             assert np.array_equal(log_returns(s, dt), logw[idx[ok]] - logw[ok])
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+class TestInt64Timestamps:
+    """Ticks at the ends of int64: no difference or pair target may wrap around."""
+
+    def test_limits_are_increasing(self, tmp_path):
+        path = tmp_path / "limits.csv"
+        path.write_text(f"timestamp,price\n{INT64_MIN},100\n0,101\n{INT64_MAX},102\n")
+        s = read_price_csv(path)
+        assert s.timestamps.tolist() == [INT64_MIN, 0, INT64_MAX]
+        # no two ticks are 1 apart; max + 1 would wrap onto min
+        assert len(log_returns(s, dt=1)) == 0
+
+    def test_wrapping_step_rejected(self):
+        # max to min is a decrease whose int64 difference wraps to +1
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PriceSeries(id="w", timestamps=[INT64_MAX, INT64_MIN], values=[1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "timestamps, pairs",
+        [
+            ([INT64_MAX - 2, INT64_MAX - 1, INT64_MAX], [(0, 1), (1, 2)]),
+            ([INT64_MAX - 3, INT64_MAX - 1, INT64_MAX], [(1, 2)]),
+        ],
+        ids=["contiguous", "gap"],
+    )
+    def test_unit_step_series_ending_at_max(self, timestamps, pairs):
+        values = [1.0, 2.0, 8.0]
+        r = log_returns(PriceSeries(id="w", timestamps=timestamps, values=values), dt=1)
+        assert r.tolist() == [math.log(values[j]) - math.log(values[i]) for i, j in pairs]
 
 
 class TestNormalize:
@@ -409,6 +445,20 @@ def write_table(path, text, renames):
     return path
 
 
+def read_through_pipe(tmp_path, text):
+    """`read_price_csv` of `text` written into a named pipe by another thread."""
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    data = text.encode("utf-8")
+    writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        return read_price_csv(pipe)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
 SHORT_ROW = "(invalid column index 1 with 1 columns)"
 BAD_PRICE = "(could not convert string 'x' to float64) in column 'price'"
 
@@ -524,6 +574,50 @@ class TestIO:
         path.write_text("timestamp,price\n0,column 9\n", encoding="utf-8")
         with pytest.raises(PriceDataError, match="in column 'price'"):
             read_price_csv(path)
+
+    def test_header_record_over_two_lines(self, tmp_path):
+        # a quoted newline: numpy skips the header by its lines, not its records
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b'timestamp,"volume\nnote",price\n1,2,0.75\n2,2,0.5\n4,2,0.25\n')
+        series = read_price_csv(path)
+        assert series.timestamps.tolist() == [1, 2, 4]
+        assert series.values.tolist() == [0.75, 0.5, 0.25]
+
+    @pytest.mark.parametrize("suffix", [".csv.gz", ".bz2", ".xz", ".lzma"])
+    @pytest.mark.parametrize("reader", ["price", *sorted(TABLE_READERS)])
+    def test_compressed_name_read_as_text(self, tmp_path, reader, suffix):
+        # np.loadtxt would decompress a path with these names
+        read, renames, columns = TABLE_READERS.get(
+            reader, (read_price_csv, {}, lambda s: (s.timestamps, s.values))
+        )
+        text = PRICE_CSV_CASES["random_walk_17_digits"]
+        named = columns(read(write_table(tmp_path / f"table{suffix}", text, renames)))
+        plain = columns(read(write_table(tmp_path / "table.csv", text, renames)))
+        assert all(np.array_equal(a, b) for a, b in zip(named, plain))
+
+    def test_gzip_file_fails_at_header(self, tmp_path):
+        path = tmp_path / "prices.csv.gz"
+        with gzip.open(path, "wt", encoding="utf-8") as fh:
+            fh.write("timestamp,price\n0,1.0\n1,2.0\n")
+        with pytest.raises(PriceDataError, match="can't decode byte 0x8b in position 1"):
+            read_price_csv(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_read_once(self, tmp_path):
+        # a pipe cannot be opened again for the rows
+        path = tmp_path / "prices.csv"
+        text = PRICE_CSV_CASES["random_walk_17_digits"]
+        path.write_bytes(text.encode("utf-8"))
+        series = read_through_pipe(tmp_path, text)
+        timestamps, prices = dictreader_prices(path)
+        assert np.array_equal(series.timestamps, timestamps)
+        assert np.array_equal(series.values, prices)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_malformed_row(self, tmp_path):
+        # no second pass over a pipe for the file line: numpy's row stands
+        with pytest.raises(PriceDataError, match=r"malformed row \(could not convert .* at row 1"):
+            read_through_pipe(tmp_path, "timestamp,price\n0,1.0\n1,x\n")
 
     def test_nonpositive_price(self, tmp_path):
         path = tmp_path / "neg.csv"
