@@ -22,6 +22,7 @@ import numpy as np
 
 from .datasets import DEFAULT_DT_LADDER, TABLE1_ROWS
 from .estimation import (
+    _MIN_FIT_POINTS,
     ScaleFitResult,
     fit_qgaussian_ccdf,
     load_scale_fits,
@@ -152,7 +153,11 @@ _FLAGS = (
     ),
     ("--grid-min", "fit", dict(type=float, default=GridSpec.min, help="lowest threshold")),
     ("--grid-max", "fit", dict(type=float, help="highest threshold; none caps it by the sample")),
-    ("--grid-count", "fit", dict(type=_at_least(8), default=GridSpec.count, help="grid points")),
+    (
+        "--grid-count",
+        "fit",
+        dict(type=_at_least(_MIN_FIT_POINTS), default=GridSpec.count, help="grid points"),
+    ),
     ("--format", "fit", dict(type=_plot_format, default="csv", help="plot files: csv or json")),
     ("--fits", "scaling", dict(type=Path, required=True, help="dt,q,beta CSV table or fits.json")),
     (
@@ -299,6 +304,11 @@ def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
         grid = GridSpec(min=args.grid_min, max=args.grid_max, count=args.grid_count)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    too_large = f"--grid-count {grid.count} points do not fit in memory"
+    try:
+        np.empty(grid.count)  # as synth checks --n, before any input is read
+    except (MemoryError, ValueError) as exc:  # numpy: no memory, or past the address space
+        raise UsageError(f"{too_large}: {exc}") from exc
     if not args.input:
         raise UsageError("fit requires at least one --input file")
     series = [read_price_csv(p) for p in args.input]
@@ -306,9 +316,13 @@ def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
     fits = []
     for dt in args.dt:
         pooled = pool([normalize(log_returns(s, dt)) for s in series])
-        ccdf = empirical_ccdf(pooled, dt, grid)
-        del pooled  # not held while this scale is fitted and the next one built
-        fit = fit_qgaussian_ccdf(ccdf)
+        try:  # besides one copy of |pooled|, this scale's arrays hold grid.count points
+            ccdf = empirical_ccdf(pooled, dt, grid)
+            del pooled  # not held while this scale is fitted and the next one built
+            fit = fit_qgaussian_ccdf(ccdf)
+            _write_fit_curve(stage, args.format, ccdf, fit)
+        except MemoryError as exc:
+            raise UsageError(f"{too_large}: {exc}") from exc
         if not fit.converged:
             print(f"warning: fit at dt={dt} did not converge", file=sys.stderr)
         if fit.at_bound:
@@ -317,7 +331,6 @@ def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
                 f"(q={fit.q:.6g}, beta={fit.beta:.6g})",
                 file=sys.stderr,
             )
-        _write_fit_curve(stage, args.format, ccdf, fit)
         fits.append(fit)
 
     columns = ([f.dt for f in fits], [f.q for f in fits], [f.beta for f in fits])

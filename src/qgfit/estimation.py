@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,16 +48,6 @@ DEFAULT_TAIL_FRACTION = 0.3
 _MIN_FIT_POINTS = 8
 _MIN_TAIL_POINTS = 5
 _LOG_FLOOR = 1e-300
-
-# The fields of a fits JSON object and the type each is read as.
-_JSON_FIELDS = {
-    "dt": int,
-    "q": float,
-    "beta": float,
-    "residual": float,
-    "n_points": int,
-    "converged": bool,
-}
 
 
 class InsufficientTailPointsError(ValueError):
@@ -97,6 +88,11 @@ class ScaleFitResult:
             for value, bounds in ((self.q, Q_BOUNDS), (self.beta, BETA_BOUNDS))
             for edge in bounds
         )
+
+
+# The fields of a fits file and their types; a fit must give those without a default.
+_FIELD_TYPES = typing.get_type_hints(ScaleFitResult)
+_REQUIRED_FIELDS = [f.name for f in fields(ScaleFitResult) if f.default is MISSING]
 
 
 @dataclass(frozen=True)
@@ -269,7 +265,7 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
     """
     path = Path(path)
     if path.suffix.lower() != ".json":
-        table = _read_csv_columns(path, {"dt": np.int64, "q": float, "beta": float})
+        table = _read_csv_columns(path, {name: _FIELD_TYPES[name] for name in _REQUIRED_FIELDS})
         return [ScaleFitResult(*row) for row in table.tolist()]
     with _reading(path) as fh:
         rows = json.load(fh)
@@ -278,17 +274,17 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
     for i, r in enumerate(rows, 1):
         _check_json_fit(i, r)
     return [
-        ScaleFitResult(**{name: cast(r[name]) for name, cast in _JSON_FIELDS.items() if name in r})
+        ScaleFitResult(**{name: cast(r[name]) for name, cast in _FIELD_TYPES.items() if name in r})
         for r in rows
     ]
 
 
 def _check_json_fit(index: int, row: dict) -> None:
     """Raise ValueError naming the first field of fits JSON object `index` that is wrong."""
-    for name in ("dt", "q", "beta"):
+    for name in _REQUIRED_FIELDS:
         if name not in row:
             raise ValueError(f"fit {index}: missing {name}")
-    for name, cast in _JSON_FIELDS.items():
+    for name, cast in _FIELD_TYPES.items():
         if name not in row:
             continue
         value = row[name]

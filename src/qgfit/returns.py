@@ -44,6 +44,8 @@ _MIN_RELATIVE_VOL = float(np.sqrt(np.finfo(float).eps))
 
 # Names that np.loadtxt, given a path, would open as compressed files.
 _DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+# Encoding of every table read: UTF-8, after a byte-order mark if there is one.
+_ENCODING = "utf-8-sig"
 
 
 class DegenerateSeriesError(ValueError):
@@ -262,7 +264,7 @@ def _reading(path: Path):
     block reads it, or opens it again, is `cannot read`.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding=_ENCODING)
     except OSError as exc:
         raise ValueError(f"cannot open: {exc.strerror}") from exc
     with fh:
@@ -277,12 +279,14 @@ def _read_csv_columns(
 ) -> np.ndarray:
     """The named columns of CSV `path` as a structured array, one record per row.
 
-    `columns` maps each name to its dtype.  The header is read as CSV and the
-    columns are found in it by name, or by their `fallback` name, in any
-    order; other columns are ignored.  The rows go through one `np.loadtxt`
-    call: fields may be quoted, blank lines are skipped and a header-only
-    file has no rows.  A missing column, a malformed row, named by its file
-    line, or a read fault is a ValueError that does not name the path.
+    `columns` maps each name to its dtype; `int` is int64 on every platform,
+    which numpy's default int was not on Windows before numpy 2.  The header
+    is read as CSV and the columns are found in it by name, or by their
+    `fallback` name, in any order; other columns are ignored.  The rows go
+    through one `np.loadtxt` call: fields may be quoted, blank lines are
+    skipped and a header-only file has no rows.  A missing column, a
+    malformed row or a byte that is not UTF-8, named by its file line, or a
+    read fault is a ValueError that does not name the path.
     """
     fallback = fallback or {}
     with _reading(path) as fh, warnings.catch_warnings():
@@ -304,14 +308,21 @@ def _read_csv_columns(
             return np.loadtxt(
                 source,
                 skiprows=reader.line_num if source is path else 0,  # the header record
-                encoding="utf-8",
-                dtype=list(columns.items()),
+                encoding=_ENCODING,
+                dtype=[(c, np.int64 if t is int else t) for c, t in columns.items()],
                 delimiter=",",
                 quotechar='"',
                 comments=None,
                 usecols=[index[c] for c in columns],
                 ndmin=1,
             )
+        except UnicodeDecodeError as exc:
+            if not fh.seekable():  # a pipe cannot be read again for the line
+                raise ValueError(f"malformed row ({exc})") from exc
+            fh.buffer.seek(0)  # only an undecodable table is read twice, for its file line
+            detail = re.sub(r" in position [\d-]+", "", str(exc))  # numpy's chunk, not the file
+            line = _undecodable_line(fh.buffer)
+            raise ValueError(f"malformed row at line {line} ({detail})") from exc
         except ValueError as exc:
             # numpy counts non-blank rows from 0 for a bad value, whose column it
             # counts from 1, and from 1 for a short row
@@ -326,6 +337,18 @@ def _read_csv_columns(
             where = f" in column {header[int(found[2]) - 1]!r}" if found[2] else ""
             detail = text[: found.start()] + text[found.end() :]
             raise ValueError(f"malformed row at line {line} ({detail}){where}") from exc
+
+
+def _undecodable_line(binary) -> int | str:
+    """File line, counted from 1, of the first byte of binary file `binary` that is not UTF-8."""
+    line = 0
+    for piece in binary:  # each piece ends at a b"\n", which no UTF-8 sequence holds
+        try:
+            piece.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return line + len(piece[: exc.start + 1].splitlines())
+        line += len(piece.splitlines())
+    return "?"
 
 
 def read_price_csv(path: str | Path) -> PriceSeries:

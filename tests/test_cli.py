@@ -24,6 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import qgfit
 from qgfit import cli
 from qgfit.estimation import Q_BOUNDS
@@ -364,6 +369,47 @@ class TestFit:
         out = tmp_path / "o"
         assert run("fit", "--input", path, "--dt", "1,4,16", "--out", out) == 2
         assert "zero variance" in capsys.readouterr().err
+        assert not out.exists()
+
+    # 10**9 float64 points span 7.45 GiB, and 10**20 are past the address space
+    @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+    @pytest.mark.parametrize("count", [10**9, 10**20])
+    def test_grid_count_past_memory_is_usage_error(self, tmp_path, count):
+        # Under a 2 GiB address-space limit every such allocation fails at
+        # once; without one, an overcommitting machine might kill the process.
+        walk = write_walk(tmp_path / "walk.csv")
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        limited_main = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+            "from qgfit.cli import main; sys.exit(main())"
+        )
+        res = run_python(
+            "-c", limited_main, "fit", "--input", str(walk), "--dt", "1",
+            "--grid-count", str(count), "--out", str(out),
+        )
+        assert res.returncode == 1
+        assert res.stderr.startswith(
+            f"qgfit: usage error: --grid-count {count} points do not fit in memory: "
+        )
+        assert "Traceback" not in res.stderr
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+    def test_grid_past_memory_during_fit_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # a grid that can be allocated once but not as the fit's working set
+        def no_memory(ccdf):
+            raise MemoryError(f"Unable to allocate {len(ccdf)} points")
+
+        monkeypatch.setattr(cli, "fit_qgaussian_ccdf", no_memory)
+        out = tmp_path / "o"
+        walk = write_walk(tmp_path / "walk.csv")
+        assert run("fit", "--input", walk, "--dt", "1", "--grid-count", 20, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "qgfit: usage error: --grid-count 20 points do not fit in memory: "
+            "Unable to allocate 20 points\n"
+        )
         assert not out.exists()
 
 

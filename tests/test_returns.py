@@ -437,6 +437,8 @@ TABLE_READERS = {
     ),
 }
 
+PRICE_READER = (read_price_csv, {}, lambda series: (series.timestamps, series.values))
+
 
 def write_table(path, text, renames):
     for old, new in renames.items():
@@ -446,10 +448,10 @@ def write_table(path, text, renames):
 
 
 def read_through_pipe(tmp_path, text):
-    """`read_price_csv` of `text` written into a named pipe by another thread."""
+    """`read_price_csv` of `text`, or of its bytes, written into a named pipe by another thread."""
     pipe = tmp_path / "pipe"
     os.mkfifo(pipe)
-    data = text.encode("utf-8")
+    data = text if isinstance(text, bytes) else text.encode("utf-8")
     writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
     writer.start()
     try:
@@ -520,6 +522,38 @@ class TestIO:
         with pytest.raises(ValueError, match=r"malformed row at line 4 \(could not convert"):
             read(write_table(tmp_path / "table.csv", text, renames))
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_undecodable_byte_names_file_line(self, tmp_path, newline):
+        # numpy reads the rows in chunks, and the codec's position is an offset into one
+        rows = [b"timestamp,price", *(b"%d,1.5" % t for t in range(30_000))]
+        rows[-1] = b"\xff" + rows[-1]
+        data = newline.join([*rows, b""])
+        path = tmp_path / "prices.csv"
+        path.write_bytes(data)
+        with pytest.raises(PriceDataError) as info:
+            read_price_csv(path)
+        assert str(info.value) == (
+            f"{path}: malformed row at line 30001 "
+            "('utf-8' codec can't decode byte 0xff: invalid start byte)"
+        )
+        if hasattr(os, "mkfifo"):
+            # a pipe cannot be read again for the line: the codec's message stands
+            with pytest.raises(PriceDataError, match=r"malformed row \('utf-8' .* in position"):
+                read_through_pipe(tmp_path, data)
+
+    @pytest.mark.parametrize("reader", ["price", *sorted(TABLE_READERS), "fits_json"])
+    def test_byte_order_mark_ignored(self, tmp_path, reader):
+        # Excel's "CSV UTF-8" files start with one
+        read, renames, columns = TABLE_READERS.get(reader.removesuffix("_json"), PRICE_READER)
+        plain = write_table(tmp_path / "table.csv", PRICE_CSV_CASES["crlf"], renames)
+        if reader == "fits_json":
+            plain = tmp_path / "fits.json"
+            plain.write_text('[{"dt": 4, "q": 1.5, "beta": 1.2}]\n', encoding="utf-8")
+        marked = tmp_path / f"bom_{plain.name}"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        pairs = zip(columns(read(marked)), columns(read(plain)))
+        assert all(np.array_equal(a, b) for a, b in pairs)
+
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     @pytest.mark.parametrize("name", ["prices.csv", "curve.csv", "fits.csv", "fits.json"])
     def test_unopenable_file(self, tmp_path, kind, name):
@@ -587,9 +621,7 @@ class TestIO:
     @pytest.mark.parametrize("reader", ["price", *sorted(TABLE_READERS)])
     def test_compressed_name_read_as_text(self, tmp_path, reader, suffix):
         # np.loadtxt would decompress a path with these names
-        read, renames, columns = TABLE_READERS.get(
-            reader, (read_price_csv, {}, lambda s: (s.timestamps, s.values))
-        )
+        read, renames, columns = TABLE_READERS.get(reader, PRICE_READER)
         text = PRICE_CSV_CASES["random_walk_17_digits"]
         named = columns(read(write_table(tmp_path / f"table{suffix}", text, renames)))
         plain = columns(read(write_table(tmp_path / "table.csv", text, renames)))
