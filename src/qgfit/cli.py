@@ -31,7 +31,7 @@ from .estimation import (
 from .qgaussian import QGaussianParams, ccdf_abs, pdf, sample
 from .returns import (
     GridSpec,
-    PriceDataError,
+    _reading,
     empirical_ccdf,
     log_returns,
     normalize,
@@ -210,9 +210,10 @@ def _parse_config_file(path: str, command: str) -> dict[str, object]:
     }
     values: dict[str, object] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+        with _reading(path) as fh:
+            text = fh.read()
+    except ValueError as exc:  # not opened, not read, or not UTF-8
+        raise UsageError(f"{path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -315,7 +316,14 @@ def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
 
     fits = []
     for dt in args.dt:
-        pooled = pool([normalize(log_returns(s, dt)) for s in series])
+        batches = []
+        for path, s in zip(args.input, series):
+            try:  # a series too short for dt, or constant over it
+                batches.append(normalize(log_returns(s, dt)))
+            except ValueError as exc:
+                raise ValueError(f"{path} at dt={dt}: {exc}") from exc
+        pooled = pool(batches)
+        del batches  # pool copies several batches: these are not held while the scale is fitted
         try:  # besides one copy of |pooled|, this scale's arrays hold grid.count points
             ccdf = empirical_ccdf(pooled, dt, grid)
             del pooled  # not held while this scale is fitted and the next one built
@@ -340,10 +348,7 @@ def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
 
 
 def cmd_scaling(args: argparse.Namespace, stage: Path) -> str:
-    try:
-        fits = load_scale_fits(args.fits)
-    except ValueError as exc:
-        raise PriceDataError(f"cannot parse fits file {args.fits}: {exc}") from exc
+    fits = load_scale_fits(args.fits)
     report = scaling_report(fits)
     columns = {
         "dt": [float(f.dt) for f in fits],

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .qgaussian import QGaussianParams, ccdf_abs, tail_to_q
-from .returns import EmpiricalCCDF, _read_csv_columns, _reading
+from .returns import EmpiricalCCDF, PriceDataError, _read_csv_columns, _reading
 
 __all__ = [
     "InsufficientTailPointsError",
@@ -258,25 +258,28 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
 
     Diagnostics a JSON object leaves out, and all of a CSV row's, take the
     `ScaleFitResult` placeholders; other CSV columns are ignored.  A file
-    that cannot be opened or read is a ValueError, as is a JSON object
-    without `dt`, `q` or `beta`, or with a value that is not a JSON number in
-    float range, a `dt` or `n_points` that is not whole or a non-boolean
-    `converged`.
+    that cannot be opened or read is a PriceDataError naming `path`, as is
+    a JSON object without `dt`, `q` or `beta`, or with a value that is not a
+    JSON number in float range, a `dt` or `n_points` that is not whole or a
+    non-boolean `converged`.
     """
     path = Path(path)
-    if path.suffix.lower() != ".json":
-        table = _read_csv_columns(path, {name: _FIELD_TYPES[name] for name in _REQUIRED_FIELDS})
-        return [ScaleFitResult(*row) for row in table.tolist()]
-    with _reading(path) as fh:
-        rows = json.load(fh)
-    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
-        raise ValueError("expected a JSON list of objects with dt, q and beta")
-    for i, r in enumerate(rows, 1):
-        _check_json_fit(i, r)
-    return [
-        ScaleFitResult(**{name: cast(r[name]) for name, cast in _FIELD_TYPES.items() if name in r})
-        for r in rows
-    ]
+    try:
+        if path.suffix.lower() != ".json":
+            table = _read_csv_columns(path, {name: _FIELD_TYPES[name] for name in _REQUIRED_FIELDS})
+            return [ScaleFitResult(*row) for row in table.tolist()]
+        with _reading(path) as fh:
+            rows = json.load(fh)
+        if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+            raise ValueError("expected a JSON list of objects with dt, q and beta")
+        for i, r in enumerate(rows, 1):
+            _check_json_fit(i, r)
+        return [
+            ScaleFitResult(**{key: cast(r[key]) for key, cast in _FIELD_TYPES.items() if key in r})
+            for r in rows
+        ]
+    except ValueError as exc:
+        raise PriceDataError(f"cannot parse fits file {path}: {exc}") from exc
 
 
 def _check_json_fit(index: int, row: dict) -> None:

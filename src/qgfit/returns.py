@@ -44,7 +44,7 @@ _MIN_RELATIVE_VOL = float(np.sqrt(np.finfo(float).eps))
 
 # Names that np.loadtxt, given a path, would open as compressed files.
 _DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-# Encoding of every table read: UTF-8, after a byte-order mark if there is one.
+# Encoding of every input file: UTF-8, after a byte-order mark if there is one.
 _ENCODING = "utf-8-sig"
 
 
@@ -257,7 +257,7 @@ def numerical_pdf(ccdf: EmpiricalCCDF) -> tuple[np.ndarray, np.ndarray]:
 
 
 @contextmanager
-def _reading(path: Path):
+def _reading(path: str | Path):
     """Text file `path`, open for the block; an OSError is a ValueError without the path.
 
     A file that cannot be opened is `cannot open`, and a fault while the

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -371,6 +372,34 @@ class TestFit:
         assert "zero variance" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "second, dt, message",
+        [
+            ("short", 390, "dt=390 must be smaller than the series length 300"),
+            ("constant", 4, "returns have zero variance (up to rounding of their mean); "
+             "cannot normalize"),
+        ],
+    )
+    def test_per_scale_failure_names_input_and_dt(
+        self, tmp_path, capsys, monkeypatch, second, dt, message
+    ):
+        # the bad input comes second, and is named as given; a Gaussian walk's
+        # fit at dt=4 may warn first
+        monkeypatch.chdir(tmp_path)
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+        write_walk(tmp_path / "a" / "walk.csv", n=3000)
+        if second == "short":
+            write_walk(tmp_path / "b" / "walk.csv", n=300)
+        else:
+            (tmp_path / "b" / "walk.csv").write_text(
+                "timestamp,price\n" + "".join(f"{t},5\n" for t in range(3000)), encoding="utf-8"
+            )
+        assert run("fit", "--input", "a/walk.csv", "b/walk.csv", "--dt", "4,390") == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"qgfit: data error: b/walk.csv at dt={dt}: {message}"
+        assert not (tmp_path / "out").exists()
+
     # 10**9 float64 points span 7.45 GiB, and 10**20 are past the address space
     @pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
     @pytest.mark.parametrize("count", [10**9, 10**20])
@@ -599,6 +628,38 @@ class TestConfigPrecedence:
         assert f"argument {flag}:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_byte_order_mark_ignored(self, tmp_path, monkeypatch):
+        # as for tables: the first key is not read as "\ufeffout"
+        monkeypatch.chdir(tmp_path)
+        Path("bom.cfg").write_bytes(b"\xef\xbb\xbfout = cfgout\n")
+        assert run("table1", "--config", "bom.cfg") == 0
+        assert (tmp_path / "cfgout" / "table1.csv").is_file()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "kind, detail",
+        [
+            ("missing", "cannot open: "),
+            ("directory", "cannot open: "),
+            ("read_fault", f"cannot read: {os.strerror(errno.EIO)}"),
+            ("undecodable", "'utf-8' codec can't decode byte 0xff"),
+        ],
+    )
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, monkeypatch, kind, detail):
+        cfg = tmp_path / "run.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        elif kind != "missing":
+            cfg.write_bytes(b"seed = 1\nout = o\xff\n" if kind == "undecodable" else b"seed = 1\n")
+        if kind == "read_fault":
+            fail_at_read(monkeypatch, cfg)
+        out = tmp_path / "o"
+        assert run("table1", "--config", cfg, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"qgfit: usage error: {cfg}: {detail}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_shared_keys_ignored(self, tmp_path):
         # bad values for fit's flags, which table1 and synth do not read
         cfg = tmp_path / "run.cfg"
@@ -664,6 +725,14 @@ class TestUsage:
                 if flag.startswith("--") and flag not in ("--help", "--config")
             ]
             assert rows[name].split(", ") == [f"`{flag}`" for flag in flags], name
+
+    def test_readme_shell_examples_parse(self):
+        # every `qgfit` line of the CLI section's shell block, as a shell splits it
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```sh\n(.*?)```", readme.split("\n## CLI\n")[1], re.DOTALL)[1]
+        lines = [line for line in block.splitlines() if line.startswith("qgfit ")]
+        commands = {cli.parse_args(shlex.split(line)[1:]).command for line in lines}
+        assert commands == set(cli.build_parser()[1])
 
     def test_fit_requires_input(self, tmp_path):
         assert run("fit", "--out", tmp_path / "o") == 1

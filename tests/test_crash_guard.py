@@ -4,7 +4,9 @@ Every command must turn whatever it is given into an exit code of 0 to 3,
 raise nothing out of `main`, and leave no `.qgfit-*` stage directory behind.
 The inputs are fits JSON, CSV tables (named with and without compression
 suffixes), --config files and synth flags, the kinds of input behind the
-tracebacks mended by hand in the past.
+tracebacks mended by hand in the past.  A --config file also runs with a
+UTF-8 byte-order mark, which must change neither the exit code nor the
+files written.
 """
 
 import json
@@ -146,15 +148,22 @@ TABLE_SUFFIX = st.sampled_from([".csv", "", ".csv.gz", ".bz2", ".xz", ".lzma"])
 TABLE_NAME = {"fit": "walk.csv", "scaling": "fits.csv", "pdfplot": "curve.csv"}
 
 
-def run_guarded(files: dict[str, str], argv: list[str]) -> None:
-    """Write `files` to a fresh directory, run `argv` there with --out in it, check the end."""
+def run_guarded(files: dict[str, str | bytes], argv: list[str]) -> tuple[int, dict[str, bytes]]:
+    """Write `files` to a fresh directory, run `argv` there with --out in it, check the end.
+
+    A str is written as UTF-8.  Returns the exit code and the bytes of each
+    file in --out by its relative name.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for name, text in files.items():
-            (root / name).write_text(text, encoding="utf-8", newline="")
+        for name, content in files.items():
+            (root / name).write_bytes(content.encode() if isinstance(content, str) else content)
         named = [str(root / a) if a in files else a for a in argv]
-        assert cli.main([*named, "--out", str(root / "out")]) in (0, 1, 2, 3)
+        out = root / "out"
+        code = cli.main([*named, "--out", str(out)])
+        assert code in (0, 1, 2, 3)
         assert not list(root.rglob(".qgfit-*"))
+        return code, {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*")}
 
 
 def run_on_table(command: str, text: str, suffix: str) -> None:
@@ -191,13 +200,20 @@ def test_pdfplot_on_generated_table(text, suffix):
 @GUARD
 @given(st.sampled_from(sorted(REQUIRED)), CONFIG)
 def test_generated_config_file(command, config):
+    # Run with and without a UTF-8 byte-order mark, which must change
+    # nothing.  A config that starts with U+FEFF already has one, so the
+    # plain file drops it.
+    plain = config.lstrip("\ufeff").encode("utf-8")
     files = {
         "walk.csv": WALK,
         "fits.csv": "dt,q,beta\n4,1.5,1.7\n8,1.49,1.6\n16,1.45,1.5\n",
         "curve.csv": "x,ccdf\n0.5,0.8\n1.0,0.5\n2.0,0.2\n",
-        "run.cfg": config,
     }
-    run_guarded(files, [command, *REQUIRED[command], "--config", "run.cfg"])
+    argv = [command, *REQUIRED[command], "--config", "run.cfg"]
+    unmarked, marked = (
+        run_guarded({**files, "run.cfg": text}, argv) for text in (plain, b"\xef\xbb\xbf" + plain)
+    )
+    assert marked == unmarked
 
 
 # In-range values, or any float, with the edges that st.floats() seldom
