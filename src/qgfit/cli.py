@@ -2,7 +2,7 @@
 
 Batch-oriented and deterministic: every command writes plot-ready CSV/JSON
 files under --out and never opens a display.  Exit codes: 0 success,
-1 usage error, 2 data/parse error, 3 numerical failure.
+1 usage error or out of memory, 2 data/parse error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -305,11 +305,10 @@ def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
         grid = GridSpec(min=args.grid_min, max=args.grid_max, count=args.grid_count)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    too_large = f"--grid-count {grid.count} points do not fit in memory"
     try:
         np.empty(grid.count)  # as synth checks --n, before any input is read
     except (MemoryError, ValueError) as exc:  # numpy: no memory, or past the address space
-        raise UsageError(f"{too_large}: {exc}") from exc
+        raise UsageError(f"--grid-count {grid.count} points do not fit in memory: {exc}") from exc
     if not args.input:
         raise UsageError("fit requires at least one --input file")
     series = [read_price_csv(p) for p in args.input]
@@ -324,13 +323,18 @@ def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
                 raise ValueError(f"{path} at dt={dt}: {exc}") from exc
         pooled = pool(batches)
         del batches  # pool copies several batches: these are not held while the scale is fitted
+        n_pooled = len(pooled)
         try:  # besides one copy of |pooled|, this scale's arrays hold grid.count points
             ccdf = empirical_ccdf(pooled, dt, grid)
             del pooled  # not held while this scale is fitted and the next one built
             fit = fit_qgaussian_ccdf(ccdf)
             _write_fit_curve(stage, args.format, ccdf, fit)
+        except ValueError as exc:  # a grid past the data, or too few points left on it
+            raise ValueError(f"pooled returns at dt={dt}: {exc}") from exc
         except MemoryError as exc:
-            raise UsageError(f"{too_large}: {exc}") from exc
+            raise MemoryError(
+                f"pooled returns at dt={dt}: {n_pooled} returns on a {grid.count}-point grid: {exc}"
+            ) from exc
         if not fit.converged:
             print(f"warning: fit at dt={dt} did not converge", file=sys.stderr)
         if fit.at_bound:
@@ -470,6 +474,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # PriceDataError and the like
         print(f"qgfit: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # numpy names the allocation; a bare MemoryError names nothing
+        print(f"qgfit: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

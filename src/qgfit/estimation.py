@@ -261,45 +261,49 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
     that cannot be opened or read is a PriceDataError naming `path`, as is
     a JSON object without `dt`, `q` or `beta`, or with a value that is not a
     JSON number in float range, a `dt` or `n_points` that is not whole or a
-    non-boolean `converged`.
+    non-boolean `converged`.  An error in one fit also names that fit,
+    counted from 1.
     """
     path = Path(path)
     try:
-        if path.suffix.lower() != ".json":
-            table = _read_csv_columns(path, {name: _FIELD_TYPES[name] for name in _REQUIRED_FIELDS})
-            return [ScaleFitResult(*row) for row in table.tolist()]
-        with _reading(path) as fh:
-            rows = json.load(fh)
-        if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
-            raise ValueError("expected a JSON list of objects with dt, q and beta")
-        for i, r in enumerate(rows, 1):
-            _check_json_fit(i, r)
-        return [
-            ScaleFitResult(**{key: cast(r[key]) for key, cast in _FIELD_TYPES.items() if key in r})
-            for r in rows
-        ]
+        if path.suffix.lower() == ".json":
+            with _reading(path) as fh:
+                rows = json.load(fh)
+            if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+                raise ValueError("expected a JSON list of objects with dt, q and beta")
+        else:
+            columns = {name: _FIELD_TYPES[name] for name in _REQUIRED_FIELDS}
+            rows = _read_csv_columns(path, columns).tolist()  # tuples of dt, q, beta
+        fits = []
+        for i, row in enumerate(rows, 1):
+            try:
+                fits.append(_json_fit(row) if isinstance(row, dict) else ScaleFitResult(*row))
+            except ValueError as exc:
+                raise ValueError(f"fit {i}: {exc}") from exc
+        return fits
     except ValueError as exc:
         raise PriceDataError(f"cannot parse fits file {path}: {exc}") from exc
 
 
-def _check_json_fit(index: int, row: dict) -> None:
-    """Raise ValueError naming the first field of fits JSON object `index` that is wrong."""
+def _json_fit(row: dict) -> ScaleFitResult:
+    """The fit of one fits JSON object; a ValueError names its first wrong field."""
     for name in _REQUIRED_FIELDS:
         if name not in row:
-            raise ValueError(f"fit {index}: missing {name}")
+            raise ValueError(f"missing {name}")
     for name, cast in _FIELD_TYPES.items():
         if name not in row:
             continue
         value = row[name]
         if cast is bool:
             if not isinstance(value, bool):
-                raise ValueError(f"fit {index}: {name} must be true or false, got {value!r}")
+                raise ValueError(f"{name} must be true or false, got {value!r}")
             continue
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if not number or (cast is int and isinstance(value, float) and not value.is_integer()):
             kind = "an integer" if cast is int else "a number"
-            raise ValueError(f"fit {index}: {name} must be {kind}, got {value!r}")
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
         if isinstance(value, int) and abs(value) > sys.float_info.max:  # float() overflows
-            raise ValueError(
-                f"fit {index}: {name} must be a number, got an integer past float range"
-            )
+            raise ValueError(f"{name} must be a number, got an integer past float range")
+    return ScaleFitResult(
+        **{key: cast(row[key]) for key, cast in _FIELD_TYPES.items() if key in row}
+    )

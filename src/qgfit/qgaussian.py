@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import gamma_ratio, hyp2f1, hyp2f1_tail_remainder
+from .special import hyp2f1, hyp2f1_tail_remainder
 
 __all__ = [
     "QGaussianParams",
@@ -51,13 +51,13 @@ class QGaussianParams:
 def normalization(params: QGaussianParams) -> float:
     """Normalization constant A(q, beta) of the density.
 
-    A = sqrt((q-1) beta / pi) * G(1/(q-1)) / G((3-q)/(2(q-1))), evaluated
-    through the log-space gamma ratio so the q -> 1 limit, where both
-    gamma arguments diverge, stays finite.
+    A = sqrt((q-1) beta / pi) * G(1/(q-1)) / G((3-q)/(2(q-1))), with the
+    gamma ratio taken in log space so the q -> 1 limit, where both gamma
+    values overflow, stays finite.
     """
     q, beta = params.q, params.beta
     b = params.b_exponent
-    return math.sqrt((q - 1.0) * beta / math.pi) * gamma_ratio(b, b - 0.5)
+    return math.sqrt((q - 1.0) * beta / math.pi) * math.exp(math.lgamma(b) - math.lgamma(b - 0.5))
 
 
 def pdf(params: QGaussianParams, x):

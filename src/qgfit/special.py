@@ -1,4 +1,4 @@
-"""Gamma ratios and the Gauss hypergeometric function of the CDF family.
+"""The Gauss hypergeometric function of the CDF family.
 
 The heavy-tail CDF family 2F1(1/2, b; 3/2; z) with b > 1/2 and z <= 0 is a
 regularized incomplete beta function.  With s = -z and the large-s leading
@@ -18,27 +18,15 @@ import numpy as np
 from scipy.special import betainc
 
 __all__ = [
-    "gamma_ratio",
     "hyp2f1",
     "hyp2f1_tail_remainder",
 ]
 
 
-def gamma_ratio(p: float, r: float) -> float:
-    """Gamma(p) / Gamma(r) for positive p, r, evaluated in log space.
-
-    Stays finite where both Gamma values individually overflow, e.g. the
-    normalization ratio whose arguments blow up as the tail index
-    approaches the Gaussian limit.
-    """
-    if not (p > 0.0 and r > 0.0):
-        raise ValueError(f"gamma_ratio requires positive arguments, got ({p}, {r})")
-    return math.exp(math.lgamma(p) - math.lgamma(r))
-
-
 def _leading_term(b: float, s: np.ndarray) -> np.ndarray:
     """Large-s leading behavior L(s) of 2F1(1/2, b; 3/2; -s) for s > 0."""
-    return 0.5 * math.sqrt(math.pi) * gamma_ratio(b - 0.5, b) / np.sqrt(s)
+    # G(b-1/2)/G(b) in log space: both overflow for b past ~171.
+    return 0.5 * math.sqrt(math.pi) * math.exp(math.lgamma(b - 0.5) - math.lgamma(b)) / np.sqrt(s)
 
 
 def hyp2f1_tail_remainder(b: float, z):

@@ -436,9 +436,55 @@ class TestFit:
         assert run("fit", "--input", walk, "--dt", "1", "--grid-count", 20, "--out", out) == 1
         err = capsys.readouterr().err
         assert err == (
-            "qgfit: usage error: --grid-count 20 points do not fit in memory: "
+            "qgfit: out of memory: pooled returns at dt=1: 1999 returns on a 20-point grid: "
             "Unable to allocate 20 points\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "target, error, argv, message",
+        [
+            ("empirical_ccdf", MemoryError("Unable to allocate 160 B"), ["fit", "--dt", "1,2"],
+             "pooled returns at dt=1: 1999 returns on a 20-point grid: Unable to allocate 160 B"),
+            ("read_price_csv", MemoryError("Unable to allocate 16 kB"), ["fit", "--dt", "1"],
+             "Unable to allocate 16 kB"),
+            ("sample", MemoryError(), ["synth", "--q", "1.5", "--beta", "1", "--n", "100"],
+             "allocation failed"),
+        ],
+        ids=["ccdf", "read", "sample"],
+    )
+    def test_out_of_memory_is_one_line(
+        self, tmp_path, capsys, monkeypatch, target, error, argv, message
+    ):
+        def no_memory(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, target, no_memory)
+        walk = write_walk(tmp_path / "walk.csv")
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        if argv[0] == "fit":
+            argv = [*argv, "--input", walk, "--grid-count", 20]
+        assert run(*argv, "--out", out) == 1
+        assert capsys.readouterr().err == f"qgfit: out of memory: {message}\n"
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--grid-min", 50],
+             "grid maximum 3.211401847634107 does not exceed grid minimum 50.0"),
+            (["--grid-min", 3, "--grid-count", 8], "need at least 8 CCDF points, got 7"),
+        ],
+        ids=["grid_past_data", "too_few_points"],
+    )
+    def test_pooled_scale_failure_names_dt(self, tmp_path, capsys, flags, message):
+        walk = write_walk(tmp_path / "walk.csv")
+        out = tmp_path / "o"
+        assert run("fit", "--input", walk, "--dt", "1,2,4", *flags, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"qgfit: data error: pooled returns at dt=1: {message}\n"
         assert not out.exists()
 
 
@@ -948,6 +994,20 @@ class TestBadInputExitCodes:
         assert "must be finite" in err
         assert str(path) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["fits.csv", "fits.json"])
+    def test_fits_value_error_names_fit(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        if name == "fits.json":
+            rows = [{"dt": 4, "q": 1.5, "beta": 1.7}, {"dt": 0, "q": 1.49, "beta": 1.6}]
+            path.write_text(json.dumps(rows), encoding="utf-8")
+        else:
+            path.write_text("dt,q,beta\n4,1.5,1.7\n0,1.49,1.6\n", encoding="utf-8")
+        assert cli.main(["scaling", "--fits", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"qgfit: data error: cannot parse fits file {path}: "
+            "fit 2: dt must be a positive integer, got 0\n"
+        )
 
     def test_nonfinite_fit_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "fits.csv"

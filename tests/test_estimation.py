@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgfit import cli, estimation, qgaussian
+from qgfit import cli, estimation
 from qgfit.datasets import TABLE1_ROWS
 from qgfit.estimation import (
     InsufficientTailPointsError,
@@ -100,25 +100,29 @@ class TestFitQGaussianCcdf:
         assert fit.q == pytest.approx(1.53, abs=0.02)
         assert fit.beta == pytest.approx(1.78, abs=0.10)
 
-    def test_one_normalization_per_model_call(self, monkeypatch):
+    def test_one_model_call_per_objective_evaluation(self, monkeypatch):
+        # each candidate (q, beta) costs one ccdf_abs call on the whole grid
         ccdf = model_ccdf(1.53, 1.78)
-        counts = {"model": 0, "points": 0, "normalization": 0}
-        model, norm = estimation.ccdf_abs, qgaussian.normalization
+        counts = {"evaluations": 0, "model": 0, "points": 0}
+        model, minimize = estimation.ccdf_abs, estimation.minimize
 
         def counted_model(params, x):
             counts["model"] += 1
             counts["points"] += np.size(x)
             return model(params, x)
 
-        def counted_normalization(params):
-            counts["normalization"] += 1
-            return norm(params)
+        def counted_minimize(objective, *args, **kwargs):
+            def counted_objective(p):
+                counts["evaluations"] += 1
+                return objective(p)
+
+            return minimize(counted_objective, *args, **kwargs)
 
         monkeypatch.setattr(estimation, "ccdf_abs", counted_model)
-        monkeypatch.setattr(qgaussian, "normalization", counted_normalization)
+        monkeypatch.setattr(estimation, "minimize", counted_minimize)
         fit_qgaussian_ccdf(ccdf)
-        assert counts["model"] > 0
-        assert counts["normalization"] == counts["model"]
+        assert counts["evaluations"] > 0
+        assert counts["model"] == counts["evaluations"]
         assert counts["points"] == counts["model"] * len(ccdf)
 
     def test_too_few_points(self):

@@ -1,17 +1,24 @@
 """The public names of qgfit: every `__all__` entry exists, and README's library example runs."""
 
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import qgfit
+
 README = Path(__file__).parents[1] / "README.md"
+# The package and each of its modules that declares `__all__`.
+PUBLIC_MODULES = [
+    name
+    for name in ["qgfit", *(f"qgfit.{m.name}" for m in pkgutil.iter_modules(qgfit.__path__))]
+    if hasattr(importlib.import_module(name), "__all__")
+]
 
 
-@pytest.mark.parametrize(
-    "module", ["qgfit", "qgfit.qgaussian", "qgfit.estimation", "qgfit.returns", "qgfit.special"]
-)
+@pytest.mark.parametrize("module", PUBLIC_MODULES)
 def test_all_entries_are_attributes(module):
     mod = importlib.import_module(module)
     assert len(set(mod.__all__)) == len(mod.__all__)

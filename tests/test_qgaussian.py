@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
+from qgfit import qgaussian
 from qgfit.qgaussian import (
     QGaussianParams,
     ccdf_abs,
@@ -246,6 +247,16 @@ class TestCcdfAbs:
 
     def test_scalar_returns_float(self):
         assert type(ccdf_abs(QGaussianParams(1.5, 1.0), 2.0)) is float
+
+    @pytest.mark.parametrize(
+        "x", [2.0, np.zeros(0), np.geomspace(1e-2, 1e3, 1000)], ids=["scalar", "empty", "grid"]
+    )
+    def test_one_normalization_per_call(self, monkeypatch, x):
+        calls = []
+        norm = qgaussian.normalization
+        monkeypatch.setattr(qgaussian, "normalization", lambda p: calls.append(p) or norm(p))
+        ccdf_abs(QGaussianParams(1.53, 1.78), x)
+        assert len(calls) == 1
 
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):

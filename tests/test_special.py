@@ -1,11 +1,12 @@
-"""Tests for gamma ratios and the hypergeometric evaluation."""
+"""Tests for the hypergeometric evaluation and the gamma ratio of its leading term."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qgfit.special import _leading_term, gamma_ratio, hyp2f1, hyp2f1_tail_remainder
+from qgfit.qgaussian import QGaussianParams, normalization
+from qgfit.special import _leading_term, hyp2f1, hyp2f1_tail_remainder
 
 # Frozen oracle values, computed once with mpmath at 40 significant digits
 # (tests/oracles.py regenerates them).
@@ -13,50 +14,16 @@ GAMMA_RATIO_100_5 = 9.98750786126251821  # Gamma(100.5)/Gamma(100)
 HYP_HALF_2_QUARTER = 0.863647609000806116  # 2F1(1/2, 2; 3/2; -1/4)
 
 
-class TestLnGamma:
-    """The log-gamma behind `gamma_ratio`, which is exp(lgamma(p) - lgamma(r))."""
-
-    def test_gamma_of_one(self):
-        assert gamma_ratio(1.0, 2.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_gamma_of_half(self):
-        assert gamma_ratio(0.5, 1.0) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-
-    def test_gamma_of_ten(self):
-        assert gamma_ratio(10.0, 1.0) == pytest.approx(362880.0, rel=1e-13)
-
-    @pytest.mark.parametrize("x", [0.1, 0.5, 0.9, 1.5, 2.0, 7.3, 25.0, 100.0])
-    def test_recurrence(self, x):
-        assert gamma_ratio(x + 1.0, x) == pytest.approx(x, rel=1e-12)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_rejects_nonpositive(self, x):
-        with pytest.raises(ValueError):
-            gamma_ratio(x, 1.0)
-
-
 class TestGammaRatio:
-    def test_one_over_half(self):
-        assert gamma_ratio(1.0, 0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-13)
-
-    def test_equal_values(self):
-        assert gamma_ratio(2.0, 1.0) == pytest.approx(1.0, rel=1e-13)
+    """G(b)/G(b-1/2), which `normalization` and the 2F1 leading term each take in log space."""
 
     def test_large_arguments(self):
-        # Gamma(100.5)/Gamma(100): both factors overflow float64 on their own.
-        got = gamma_ratio(100.5, 100.0)
-        assert got == pytest.approx(GAMMA_RATIO_100_5, rel=1e-12)
-        # sanity: asymptotically sqrt(100), within 0.13%
-        assert got == pytest.approx(10.0, rel=1.3e-3)
-
-    @pytest.mark.parametrize("p,r", [(0.3, 2.0), (1.0, 1.0), (50.0, 49.5), (9.1, 0.07)])
-    def test_reciprocal_product(self, p, r):
-        assert gamma_ratio(p, r) * gamma_ratio(r, p) == pytest.approx(1.0, rel=1e-12)
-
-    @pytest.mark.parametrize("p,r", [(0.0, 1.0), (1.0, 0.0), (-2.0, 1.0)])
-    def test_rejects_nonpositive(self, p, r):
-        with pytest.raises(ValueError):
-            gamma_ratio(p, r)
+        # b = 100.5: G(100.5) and G(100) are near 1e157, their ratio near 10.
+        q = 1.0 + 1.0 / 100.5
+        amp = normalization(QGaussianParams(q, 1.0))
+        assert amp == pytest.approx(math.sqrt((q - 1.0) / math.pi) * GAMMA_RATIO_100_5, rel=1e-12)
+        lead = _leading_term(100.5, 1.0)
+        assert lead == pytest.approx(0.5 * math.sqrt(math.pi) / GAMMA_RATIO_100_5, rel=1e-12)
 
 
 class TestHyp2F1:
