@@ -353,7 +353,10 @@ def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
 
 def cmd_scaling(args: argparse.Namespace, stage: Path) -> str:
     fits = load_scale_fits(args.fits)
-    report = scaling_report(fits)
+    try:
+        report = scaling_report(fits)
+    except ValueError as exc:  # too few scales, or one q at every scale
+        raise ValueError(f"{args.fits}: {exc}") from exc
     columns = {
         "dt": [float(f.dt) for f in fits],
         "q_minus_1": [f.q - 1.0 for f in fits],
@@ -387,11 +390,16 @@ def cmd_table1(args: argparse.Namespace, stage: Path) -> str:
     return f"wrote {args.out / 'table1.csv'}"
 
 
-def cmd_synth(args: argparse.Namespace, stage: Path) -> str:
+def _flag_params(args: argparse.Namespace) -> QGaussianParams:
+    """The model of --q and --beta; a value out of range is a UsageError."""
     try:
-        params = QGaussianParams(args.q, args.beta)
+        return QGaussianParams(args.q, args.beta)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def cmd_synth(args: argparse.Namespace, stage: Path) -> str:
+    params = _flag_params(args)
     try:
         log_price = np.zeros(args.n)
     except (MemoryError, ValueError) as exc:  # numpy: no memory, or past the address space
@@ -434,12 +442,12 @@ def cmd_synth(args: argparse.Namespace, stage: Path) -> str:
 
 
 def cmd_pdfplot(args: argparse.Namespace, stage: Path) -> str:
-    try:
-        params = QGaussianParams(args.q, args.beta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    params = _flag_params(args)
     ccdf = read_ccdf_csv(args.ccdf)
-    xs, numeric = numerical_pdf(ccdf)
+    try:
+        xs, numeric = numerical_pdf(ccdf)
+    except ValueError as exc:  # too few points
+        raise ValueError(f"{args.ccdf}: {exc}") from exc
     model = 2.0 * pdf(params, xs)  # folded density of |r|
     header = ["x", "pdf_numeric", "pdf_model"]
     _write_rows(stage / "pdfplot.csv", header, "%.12g,%.12g,%.12g", xs, numeric, model)

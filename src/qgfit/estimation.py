@@ -120,19 +120,16 @@ class ScalingReport:
     delta_fit: PowerLawFit  # 1/beta against q - 1
 
 
-def fit_qgaussian_ccdf(
-    ccdf: EmpiricalCCDF, init: tuple[float, float] | None = None
-) -> ScaleFitResult:
+def fit_qgaussian_ccdf(ccdf: EmpiricalCCDF) -> ScaleFitResult:
     """Least-squares fit of the model CCDF to an empirical exceedance curve.
 
     Minimizes the sum of squared log10 residuals over the threshold grid in
     (q, log10 beta) with one bounded L-BFGS-B run, whose box is `Q_BOUNDS`
     and `BETA_BOUNDS`; a fit may end exactly on an edge (see
     `ScaleFitResult.at_bound`).  Each candidate (q, beta) costs one
-    `ccdf_abs` call on the whole grid.  `init` is the starting (q, beta),
-    clipped into the box; by default q starts at the tail-slope estimate and
-    beta at 1.  Non-convergence is reported through the converged flag, not
-    raised.
+    `ccdf_abs` call on the whole grid.  The run starts at the tail-slope q
+    and beta = 1, inside the box.  Non-convergence is reported through the
+    converged flag, not raised.
     """
     if len(ccdf) < _MIN_FIT_POINTS:
         raise ValueError(f"need at least {_MIN_FIT_POINTS} CCDF points, got {len(ccdf)}")
@@ -145,9 +142,8 @@ def fit_qgaussian_ccdf(
         diff = np.log10(np.maximum(model, _LOG_FLOOR)) - target
         return float(diff @ diff)
 
-    q0, beta0 = (_default_q_init(ccdf), 1.0) if init is None else init
+    start = np.array([_start_q(ccdf), 0.0])  # log10 beta = 0
     bounds = np.array([Q_BOUNDS, np.log10(BETA_BOUNDS)])
-    start = np.clip([q0, math.log10(beta0)], bounds[:, 0], bounds[:, 1])
     options = {"ftol": 1e-12, "gtol": 1e-5, "maxfun": 6000}
     result = minimize(objective, start, method="L-BFGS-B", bounds=bounds, options=options)
 
@@ -162,8 +158,8 @@ def fit_qgaussian_ccdf(
     )
 
 
-def _default_q_init(ccdf: EmpiricalCCDF) -> float:
-    """Tail-slope starting point for q, clipped into the search box."""
+def _start_q(ccdf: EmpiricalCCDF) -> float:
+    """Tail-slope starting point for q, inside the search box."""
     try:
         alpha = estimate_tail_exponent(ccdf, DEFAULT_TAIL_FRACTION)
         return min(max(tail_to_q(alpha), 1.05), 2.9)
@@ -239,10 +235,12 @@ def scaling_report(fits: list[ScaleFitResult]) -> ScalingReport:
     """Regress the fitted parameters against the time scale.
 
     tau: q - 1 against dt; gamma: 1/beta against dt; delta: 1/beta against
-    q - 1.  Needs at least three distinct time scales.
+    q - 1.  Needs at least three distinct time scales and two distinct q.
     """
     if len({f.dt for f in fits}) < 3:
         raise ValueError("need fits at 3 or more distinct time scales")
+    if len({f.q for f in fits}) < 2:
+        raise ValueError("q is the same at every scale: 1/beta against q - 1 (delta) is undefined")
     dts = np.array([f.dt for f in fits], dtype=float)
     q_excess = np.array([f.q - 1.0 for f in fits])
     inv_beta = np.array([1.0 / f.beta for f in fits])

@@ -526,6 +526,25 @@ class TestScaling:
         assert run("scaling", "--fits", path, "--out", tmp_path / "o") == 2
         assert "distinct time scales" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, detail",
+        [
+            ("4,1.5,1\n8,1.4,1\n", "need fits at 3 or more distinct time scales"),
+            (
+                "4,1.5,1\n8,1.5,1\n16,1.5,1\n",
+                "q is the same at every scale: 1/beta against q - 1 (delta) is undefined",
+            ),
+        ],
+        ids=["two_scales", "one_q"],
+    )
+    def test_report_failure_names_file(self, tmp_path, capsys, rows, detail):
+        path = tmp_path / "fits.csv"
+        path.write_text("dt,q,beta\n" + rows, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("scaling", "--fits", path, "--out", out) == 2
+        assert capsys.readouterr().err == f"qgfit: data error: {path}: {detail}\n"
+        assert not out.exists()
+
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
         t1 = tmp_path / "t1"
         run("table1", "--out", t1)
@@ -572,6 +591,16 @@ class TestPdfPlot:
         out = tmp_path / "o"
         assert run("pdfplot", "--ccdf", path, "--q", 1.5, "--beta", 1.0, "--out", out) == 0
         assert len(read_csv_rows(out / "pdfplot.csv")) == 2
+
+    def test_two_point_curve_names_file(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("x,ccdf\n0.5,0.8\n1.0,0.5\n")
+        out = tmp_path / "o"
+        assert run("pdfplot", "--ccdf", path, "--q", 1.5, "--beta", 1.0, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"qgfit: data error: {path}: need at least 3 CCDF points to differentiate\n"
+        )
+        assert not out.exists()
 
     def test_n_samples_column_ignored(self, tmp_path):
         path = tmp_path / "tiny.csv"

@@ -48,16 +48,10 @@ class TestFitQGaussianCcdf:
         assert fit.beta == pytest.approx(beta, abs=1e-3)
 
     def test_near_gaussian_narrow_curve(self):
-        # q near its floor with a large beta, fitted from the default start
+        # q near its floor with a large beta, fitted from the tail-slope start
         fit = fit_qgaussian_ccdf(model_ccdf(1.02, 100.0))
         assert fit.q == pytest.approx(1.02, abs=1e-4)
         assert fit.beta == pytest.approx(100.0, rel=1e-3)
-
-    def test_idempotent(self):
-        first = fit_qgaussian_ccdf(model_ccdf(1.48, 1.52))
-        second = fit_qgaussian_ccdf(model_ccdf(1.48, 1.52), init=(first.q, first.beta))
-        assert abs(second.q - first.q) < 1e-8
-        assert abs(second.beta - first.beta) < 1e-8
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(st.floats(1.05, 2.5), st.floats(0.1, 10.0))
@@ -79,15 +73,13 @@ class TestFitQGaussianCcdf:
         assert fit.q == pytest.approx(1.5, abs=0.02)
         assert fit.beta == pytest.approx(1.5, abs=0.1)
 
-    def test_explicit_init_honored(self):
-        fit = fit_qgaussian_ccdf(model_ccdf(1.53, 1.78), init=(2.5, 10.0))
-        assert fit.q == pytest.approx(1.53, abs=1e-4)
-
-    @pytest.mark.parametrize("init", [(1.01, 1e-4), (2.99, 1e4)])
-    def test_corner_init_honored(self, init):
-        fit = fit_qgaussian_ccdf(model_ccdf(1.53, 1.78), init=init)
-        assert fit.q == pytest.approx(1.53, abs=1e-4)
-        assert fit.beta == pytest.approx(1.78, abs=1e-3)
+    @pytest.mark.parametrize("q, beta", [(2.9, 10.0), (1.02, 0.01), (2.9, 100.0)])
+    def test_extreme_curve_recovered(self, q, beta):
+        # L-BFGS-B stalls on these from far starts, yet reports converged
+        fit = fit_qgaussian_ccdf(model_ccdf(q, beta))
+        assert fit.converged
+        assert fit.q == pytest.approx(q, abs=1e-6)
+        assert fit.beta == pytest.approx(beta, rel=1e-4)
 
     def test_bundled_dt4_parameters_recovered(self):
         # empirical pipeline at the shortest bundled scale: data generated at
