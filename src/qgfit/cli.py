@@ -99,13 +99,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dt_ladder(text: str) -> tuple[int, ...]:
-    """Type of --dt: comma-separated ticks, at least 1 and strictly increasing."""
+    """Type of --dt: comma-separated ticks, at least 1 and strictly increasing; none is empty."""
     try:
-        ladder = tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError as exc:
+        ladder = tuple(map(int, text.split(",")))
+    except ValueError as exc:  # an empty item too: int("") fails
         raise argparse.ArgumentTypeError(f"expects a comma-separated integer list: {exc}") from exc
-    if not ladder:
-        raise argparse.ArgumentTypeError("needs at least one time scale")
     if not all(a < b for a, b in zip(ladder, ladder[1:])):
         raise argparse.ArgumentTypeError("values must be strictly increasing")
     if ladder[0] < 1:
@@ -311,6 +309,12 @@ def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
         raise UsageError(f"--grid-count {grid.count} points do not fit in memory: {exc}") from exc
     if not args.input:
         raise UsageError("fit requires at least one --input file")
+    spellings = {}  # by real path: a file given twice would be pooled twice
+    for path in args.input:
+        real = os.path.realpath(path)
+        if real in spellings:
+            raise UsageError(f"--input {spellings[real]} and {path} are the same file")
+        spellings[real] = path
     series = [read_price_csv(p) for p in args.input]
 
     fits = []
@@ -479,7 +483,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"qgfit: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:  # PriceDataError and the like
+    except ValueError as exc:  # bad input data, named by its file or its scale
         print(f"qgfit: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:  # numpy names the allocation; a bare MemoryError names nothing

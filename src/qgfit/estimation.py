@@ -20,10 +20,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .qgaussian import QGaussianParams, ccdf_abs, tail_to_q
-from .returns import EmpiricalCCDF, PriceDataError, _read_csv_columns, _reading
+from .returns import EmpiricalCCDF, _read_csv_columns, _reading
 
 __all__ = [
-    "InsufficientTailPointsError",
     "ScaleFitResult",
     "PowerLawFit",
     "ScalingReport",
@@ -43,15 +42,11 @@ BETA_BOUNDS = (1e-4, 1e4)
 _BOX_EDGE_RTOL = 1e-6
 
 # Fraction of grid points (largest thresholds) used by the tail regression.
-DEFAULT_TAIL_FRACTION = 0.3
+_TAIL_FRACTION = 0.3
 
 _MIN_FIT_POINTS = 8
 _MIN_TAIL_POINTS = 5
 _LOG_FLOOR = 1e-300
-
-
-class InsufficientTailPointsError(ValueError):
-    """Raised when the tail region holds too few points for a regression."""
 
 
 @dataclass(frozen=True)
@@ -73,6 +68,10 @@ class ScaleFitResult:
             raise ValueError(f"dt must be at most 2**63 - 1, got {self.dt}")
         if not math.isfinite(self.residual):
             raise ValueError("fit residual must be finite")
+        if self.residual < 0.0:  # a sum of squares
+            raise ValueError(f"fit residual must be non-negative, got {self.residual}")
+        if self.n_points < 0:
+            raise ValueError(f"n_points must be non-negative, got {self.n_points}")
         if not (math.isfinite(self.q) and math.isfinite(self.beta)):
             raise ValueError(f"fitted q={self.q} and beta={self.beta} must be finite")
         if not Q_BOUNDS[0] <= self.q <= Q_BOUNDS[1]:
@@ -161,28 +160,23 @@ def fit_qgaussian_ccdf(ccdf: EmpiricalCCDF) -> ScaleFitResult:
 def _start_q(ccdf: EmpiricalCCDF) -> float:
     """Tail-slope starting point for q, inside the search box."""
     try:
-        alpha = estimate_tail_exponent(ccdf, DEFAULT_TAIL_FRACTION)
+        alpha = estimate_tail_exponent(ccdf)
         return min(max(tail_to_q(alpha), 1.05), 2.9)
     except ValueError:
         return 1.5
 
 
-def estimate_tail_exponent(
-    ccdf: EmpiricalCCDF, tail_fraction: float = DEFAULT_TAIL_FRACTION
-) -> float:
+def estimate_tail_exponent(ccdf: EmpiricalCCDF) -> float:
     """Tail exponent alpha > 0 from an OLS slope of ln P against ln x over the tail.
 
-    The tail region is the largest `tail_fraction` of grid thresholds; via
-    `tail_to_q` this yields a q estimate independent of the least-squares
-    fit.  A slope that is not negative has no such exponent: ValueError.
+    The tail region is the largest 30% of grid thresholds, rounded up, and
+    must hold at least five; via `tail_to_q` this yields a q estimate
+    independent of the least-squares fit.  A slope that is not negative has
+    no such exponent: ValueError.
     """
-    if not 0.0 < tail_fraction < 1.0:
-        raise ValueError(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
-    k = math.ceil(tail_fraction * len(ccdf))
+    k = math.ceil(_TAIL_FRACTION * len(ccdf))
     if k < _MIN_TAIL_POINTS:
-        raise InsufficientTailPointsError(
-            f"tail region holds {k} points, need at least {_MIN_TAIL_POINTS}"
-        )
+        raise ValueError(f"tail region holds {k} points, need at least {_MIN_TAIL_POINTS}")
     log_x = np.log(ccdf.thresholds[-k:])
     log_p = np.log(ccdf.probabilities[-k:])
     slope, _, _, _ = _ols(log_x, log_p)
@@ -256,11 +250,12 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
 
     Diagnostics a JSON object leaves out, and all of a CSV row's, take the
     `ScaleFitResult` placeholders; other CSV columns are ignored.  A file
-    that cannot be opened or read is a PriceDataError naming `path`, as is
-    a JSON object without `dt`, `q` or `beta`, or with a value that is not a
+    that cannot be opened or read is a ValueError naming `path`, as is a
+    JSON object without `dt`, `q` or `beta`, or with a value that is not a
     JSON number in float range, a `dt` or `n_points` that is not whole or a
-    non-boolean `converged`.  An error in one fit also names that fit,
-    counted from 1.
+    non-boolean `converged`, and a fit that `ScaleFitResult` rejects, such
+    as one with a negative `residual` or `n_points`.  An error in one fit
+    also names that fit, counted from 1.
     """
     path = Path(path)
     try:
@@ -280,7 +275,7 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
                 raise ValueError(f"fit {i}: {exc}") from exc
         return fits
     except ValueError as exc:
-        raise PriceDataError(f"cannot parse fits file {path}: {exc}") from exc
+        raise ValueError(f"cannot parse fits file {path}: {exc}") from exc
 
 
 def _json_fit(row: dict) -> ScaleFitResult:

@@ -13,14 +13,12 @@ import itertools
 import re
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "DegenerateSeriesError",
-    "PriceDataError",
     "PriceSeries",
     "EmpiricalCCDF",
     "GridSpec",
@@ -48,43 +46,35 @@ _DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 _ENCODING = "utf-8-sig"
 
 
-class DegenerateSeriesError(ValueError):
-    """Raised when a return series has zero variance, up to rounding, and cannot be normalized."""
-
-
-class PriceDataError(ValueError):
-    """Raised when a price CSV cannot be parsed into a valid series."""
-
-
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """Raw instrument values W(t) on a strictly increasing integer tick grid.
+    """Log instrument values ln W(t) on a strictly increasing integer tick grid.
 
-    `log_values` holds ln W(t), taken once here for every dt that follows.
+    The prices W(t) are checked, finite and positive, and their log is taken
+    once here for every dt that follows; the prices themselves are not kept.
     """
 
-    id: str
     timestamps: np.ndarray
-    values: np.ndarray
+    prices: InitVar[np.ndarray]
     log_values: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, prices):
         object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if len(self.timestamps) != len(self.values):
-            raise ValueError("timestamps and values must have equal length")
-        if len(self.values) < 2:
+        prices = np.asarray(prices, dtype=float)
+        if len(self.timestamps) != len(prices):
+            raise ValueError("timestamps and prices must have equal length")
+        if len(prices) < 2:
             raise ValueError("price series needs at least 2 samples")
         if not np.all(self.timestamps[1:] > self.timestamps[:-1]):  # a diff could wrap
             raise ValueError("timestamps must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(prices)):
             raise ValueError("prices must be finite")
-        if not np.all(self.values > 0.0):
+        if not np.all(prices > 0.0):
             raise ValueError("prices must be positive (log returns are taken)")
-        object.__setattr__(self, "log_values", np.log(self.values))
+        object.__setattr__(self, "log_values", np.log(prices))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.log_values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +165,7 @@ def normalize(values: np.ndarray) -> np.ndarray:
     Works in place on a float64 array and returns it; any other input is
     first converted to a new float64 array.  The population convention makes
     the transform idempotent up to rounding.  Returns with zero variance, or
-    with an sd at most sqrt(eps) of their mean, raise DegenerateSeriesError.
+    with an sd at most sqrt(eps) of their mean, raise ValueError.
     """
     values = np.asarray(values, dtype=float)
     if len(values) < 2:
@@ -183,7 +173,7 @@ def normalize(values: np.ndarray) -> np.ndarray:
     mean = float(np.mean(values))
     vol = float(np.std(values))
     if vol <= _MIN_RELATIVE_VOL * abs(mean):
-        raise DegenerateSeriesError(
+        raise ValueError(
             "returns have zero variance (up to rounding of their mean); cannot normalize"
         )
     values -= mean
@@ -356,9 +346,9 @@ def read_price_csv(path: str | Path) -> PriceSeries:
     path = Path(path)
     try:
         rows = _read_csv_columns(path, {"timestamp": np.int64, "price": float})
-        return PriceSeries(id=path.stem, timestamps=rows["timestamp"], values=rows["price"])
+        return PriceSeries(timestamps=rows["timestamp"], prices=rows["price"])
     except ValueError as exc:
-        raise PriceDataError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_ccdf_csv(path: str | Path) -> EmpiricalCCDF:
@@ -372,4 +362,4 @@ def read_ccdf_csv(path: str | Path) -> EmpiricalCCDF:
         rows = _read_csv_columns(path, {"x": float, "ccdf": float}, {"ccdf": "ccdf_empirical"})
         return EmpiricalCCDF(dt=1, thresholds=rows["x"], probabilities=rows["ccdf"], n_samples=0)
     except ValueError as exc:
-        raise PriceDataError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc

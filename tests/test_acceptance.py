@@ -152,7 +152,7 @@ def test_criterion_7_two_route_consistency():
             dt=1, thresholds=x, probabilities=ccdf_abs(params, x), n_samples=0
         )
         q_ls = fit_qgaussian_ccdf(ccdf).q
-        q_tail = tail_to_q(estimate_tail_exponent(ccdf, 0.3))
+        q_tail = tail_to_q(estimate_tail_exponent(ccdf))
         worst = max(worst, abs(q_ls - q_tail))
     ok = worst <= 0.05
     _report(7, ok, f"worst |q_ls - q_tail|={worst:.4f} <= 0.05 for q in {{1.35, 1.53}}")

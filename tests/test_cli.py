@@ -899,6 +899,23 @@ class TestBadInputExitCodes:
         assert f"{field} must be an integer, got {value}" in err and str(path) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"residual": -3, "n_points": -7}, "fit residual must be non-negative, got -3.0"),
+            ({"n_points": -7}, "n_points must be non-negative, got -7"),
+        ],
+        ids=["residual", "n_points"],
+    )
+    def test_fits_json_negative_diagnostic_is_data_error(self, tmp_path, capsys, fields, message):
+        path = fits_json(tmp_path, **fields)
+        out = tmp_path / "o"
+        assert cli.main(["scaling", "--fits", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"qgfit: data error: cannot parse fits file {path}: fit 1: {message}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_fits_json_non_boolean_converged_is_data_error(self, tmp_path, capsys, value):
         # bool("false") is True
@@ -1046,19 +1063,53 @@ class TestBadInputExitCodes:
         assert "must be finite" in err
         assert str(path) in err
 
-    @pytest.mark.parametrize("spelling", ["flag", "config"])
-    def test_empty_dt_ladder_is_usage_error(self, tmp_path, capsys, spelling):
+    @pytest.mark.parametrize(
+        "spelling, ladder",
+        [
+            pytest.param("flag", ",", id="flag"),
+            pytest.param("config", "", id="config"),
+            # an empty item is a typo, not a shorter ladder
+            pytest.param("flag", "4,,16", id="flag-inner_item"),
+            pytest.param("flag", "4,8,", id="flag-last_item"),
+            pytest.param("config", "4,,16", id="config-inner_item"),
+            pytest.param("config", "4,8,", id="config-last_item"),
+        ],
+    )
+    def test_empty_dt_ladder_is_usage_error(self, tmp_path, capsys, spelling, ladder):
         path = write_walk(tmp_path / "walk.csv")
         out = tmp_path / "o"
         argv = ["fit", "--input", str(path), "--out", str(out)]
         if spelling == "flag":
-            argv += ["--dt", ","]
+            argv += ["--dt", ladder]
         else:
             cfg = tmp_path / "run.cfg"
-            cfg.write_text("dt=\n", encoding="utf-8")
+            cfg.write_text(f"dt={ladder}\n", encoding="utf-8")
             argv += ["--config", str(cfg)]
         assert cli.main(argv) == 1
         assert "--dt" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spelling", ["dot", "symlink"])
+    def test_same_input_twice_is_usage_error(self, tmp_path, capsys, monkeypatch, spelling):
+        # pooling a walk twice moves the grid cap and so the fitted q
+        path = write_walk(tmp_path / "walk.csv")
+        again = os.path.join(tmp_path, ".", "walk.csv")
+        if spelling == "symlink":
+            again = tmp_path / "link.csv"
+            try:
+                again.symlink_to(path)
+            except OSError as exc:  # not permitted on some Windows setups
+                pytest.skip(f"cannot make a symlink: {exc}")
+
+        def unexpected(p):
+            raise AssertionError(f"{p} was parsed before the inputs were compared")
+
+        monkeypatch.setattr(cli, "read_price_csv", unexpected)
+        out = tmp_path / "o"
+        assert run("fit", "--input", path, again, "--dt", "1", "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"qgfit: usage error: --input {path} and {again} are the same file\n"
+        )
         assert not out.exists()
 
     def test_negative_grid_min_is_usage_error(self, tmp_path, capsys):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qgfit import cli, estimation
 from qgfit.datasets import TABLE1_ROWS
 from qgfit.estimation import (
-    InsufficientTailPointsError,
     ScaleFitResult,
     estimate_tail_exponent,
     fit_power_law,
@@ -124,35 +123,31 @@ class TestFitQGaussianCcdf:
 
 class TestEstimateTailExponent:
     def test_cauchy_tail(self):
-        # top third of the grid covers x in [1e2, 1e4] where P ~ 2/(pi x)
+        # the top 30% of the grid covers x in [10**2.25, 1e4] where P ~ 2/(pi x)
         ccdf = model_ccdf(2.0, 1.0, lo=1e-2, hi=1e4, n=90)
-        alpha = estimate_tail_exponent(ccdf, 1.0 / 3.0)
+        alpha = estimate_tail_exponent(ccdf)
         assert alpha == pytest.approx(1.0, rel=0.02)
 
     def test_exact_power_law(self):
         x = np.geomspace(1.0, 1e3, 40)
         ccdf = EmpiricalCCDF(dt=1, thresholds=x, probabilities=x**-2.5, n_samples=0)
-        assert estimate_tail_exponent(ccdf, 0.5) == pytest.approx(2.5, abs=1e-12)
+        assert estimate_tail_exponent(ccdf) == pytest.approx(2.5, abs=1e-12)
 
     def test_consistent_with_exact_relation(self):
         ccdf = model_ccdf(1.53, 1.78, lo=1e-2, hi=1e4, n=90)
-        alpha = estimate_tail_exponent(ccdf, 1.0 / 3.0)
+        alpha = estimate_tail_exponent(ccdf)
         assert alpha == pytest.approx(2.7736, abs=0.03)
         assert tail_to_q(alpha) == pytest.approx(1.53, abs=0.02)
 
     def test_too_few_tail_points(self):
-        with pytest.raises(InsufficientTailPointsError):
-            estimate_tail_exponent(model_ccdf(1.5, 1.0, n=10), 0.3)
-
-    def test_bad_fraction(self):
-        with pytest.raises(ValueError):
-            estimate_tail_exponent(model_ccdf(1.5, 1.0), 1.5)
+        with pytest.raises(ValueError, match="tail region holds 3 points, need at least 5"):
+            estimate_tail_exponent(model_ccdf(1.5, 1.0, n=10))
 
     def test_flat_tail_has_no_exponent(self):
         x = np.geomspace(1.0, 1e3, 40)
         flat = EmpiricalCCDF(dt=1, thresholds=x, probabilities=np.full(40, 0.25), n_samples=0)
         with pytest.raises(ValueError, match="tail slope must be negative, got 0.0"):
-            estimate_tail_exponent(flat, 0.5)
+            estimate_tail_exponent(flat)
 
 
 class TestTwoRouteConsistency:
@@ -160,7 +155,7 @@ class TestTwoRouteConsistency:
     def test_routes_agree(self, q):
         ccdf = model_ccdf(q, 1.0, hi=1e3, n=60)
         q_ls = fit_qgaussian_ccdf(ccdf).q
-        q_tail = tail_to_q(estimate_tail_exponent(ccdf, 0.3))
+        q_tail = tail_to_q(estimate_tail_exponent(ccdf))
         assert abs(q_ls - q_tail) <= 0.05
 
 

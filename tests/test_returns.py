@@ -4,21 +4,20 @@ import csv
 import gzip
 import math
 import os
+import re
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qgfit.estimation import load_scale_fits
 from qgfit.qgaussian import QGaussianParams, ccdf_abs, pdf, sample
 from qgfit.returns import (
-    DegenerateSeriesError,
     EmpiricalCCDF,
     GridSpec,
-    PriceDataError,
     PriceSeries,
     empirical_ccdf,
     log_returns,
@@ -30,8 +29,8 @@ from qgfit.returns import (
 )
 
 
-def series_from_values(values, id="test"):
-    return PriceSeries(id=id, timestamps=np.arange(len(values)), values=values)
+def series_from_values(values):
+    return PriceSeries(timestamps=np.arange(len(values)), prices=values)
 
 
 class TestLogReturns:
@@ -52,7 +51,7 @@ class TestLogReturns:
 
     def test_gap_skips_missing_pairs(self):
         # tick 2 missing: only (0 -> 2)-spaced pairs with both ends present count
-        s = PriceSeries(id="g", timestamps=[0, 1, 3, 4], values=[1.0, 2.0, 4.0, 8.0])
+        s = PriceSeries(timestamps=[0, 1, 3, 4], prices=[1.0, 2.0, 4.0, 8.0])
         r = log_returns(s, dt=2)
         # pairs: (1 -> 3) and (..): t=0+2=2 missing, t=1+2=3 ok, t=3+2=5 missing
         assert len(r) == 1
@@ -80,7 +79,7 @@ class TestLogReturns:
     def test_contiguous_matches_searchsorted_gather(self):
         rng = np.random.default_rng(3)
         w = 100.0 * np.exp(np.cumsum(1e-2 * rng.standard_normal(5000)))
-        s = PriceSeries(id="w", timestamps=np.arange(7, 5007), values=w)
+        s = PriceSeries(timestamps=np.arange(7, 5007), prices=w)
         ts, logw = s.timestamps, np.log(w)
         for dt in (1, 4, 390, 4999):
             # the pair lookup used for gapped series, applied to every series
@@ -107,7 +106,7 @@ class TestInt64Timestamps:
     def test_wrapping_step_rejected(self):
         # max to min is a decrease whose int64 difference wraps to +1
         with pytest.raises(ValueError, match="strictly increasing"):
-            PriceSeries(id="w", timestamps=[INT64_MAX, INT64_MIN], values=[1.0, 2.0])
+            PriceSeries(timestamps=[INT64_MAX, INT64_MIN], prices=[1.0, 2.0])
 
     @pytest.mark.parametrize(
         "timestamps, pairs",
@@ -119,8 +118,39 @@ class TestInt64Timestamps:
     )
     def test_unit_step_series_ending_at_max(self, timestamps, pairs):
         values = [1.0, 2.0, 8.0]
-        r = log_returns(PriceSeries(id="w", timestamps=timestamps, values=values), dt=1)
+        r = log_returns(PriceSeries(timestamps=timestamps, prices=values), dt=1)
         assert r.tolist() == [math.log(values[j]) - math.log(values[i]) for i, j in pairs]
+
+
+@st.composite
+def gapped_series(draw):
+    """Prices on a random tick set with gaps, and a dt.
+
+    The ticks lie in one to three 16-tick windows, each at an end of int64 or
+    anywhere in it, so a pair target past int64 max would wrap onto a tick.
+    """
+    edges = st.sampled_from([INT64_MIN, INT64_MAX - 15])
+    anchors = st.one_of(edges, st.integers(INT64_MIN, INT64_MAX - 15))
+    clusters = draw(st.lists(st.tuples(anchors, st.sets(st.integers(0, 15))), max_size=3))
+    ticks = sorted({anchor + offset for anchor, offsets in clusters for offset in offsets})
+    assume(len(ticks) >= 3 and ticks[-1] - ticks[0] != len(ticks) - 1)  # the searchsorted path
+    prices = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(ticks), max_size=len(ticks)))
+    dt = draw(st.integers(1, len(ticks) - 1))
+    return ticks, prices, dt
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(gapped_series())
+def test_gapped_log_returns_match_tick_pairing(case):
+    # Python ints do not wrap: a tick past int64 max - dt has no pair
+    ticks, prices, dt = case
+    log_price = dict(zip(ticks, np.log(prices).tolist()))
+    expected = [log_price[t + dt] - log_price[t] for t in ticks if t + dt in log_price]
+    series = PriceSeries(timestamps=ticks, prices=prices)
+    assert log_returns(series, dt).tolist() == expected
+
+
+ZERO_VARIANCE = "returns have zero variance (up to rounding of their mean); cannot normalize"
 
 
 class TestNormalize:
@@ -144,12 +174,12 @@ class TestNormalize:
         assert twice == pytest.approx(once, abs=1e-12)
 
     def test_degenerate_input(self):
-        with pytest.raises(DegenerateSeriesError):
+        with pytest.raises(ValueError, match=re.escape(ZERO_VARIANCE)):
             normalize([0.0, 0.0, 0.0])
 
     def test_constant_up_to_rounding(self):
         # sd 2^-53 against a mean of 1: centering would give [0, 2], mean 1
-        with pytest.raises(DegenerateSeriesError):
+        with pytest.raises(ValueError, match=re.escape(ZERO_VARIANCE)):
             normalize([1.0, 1.0 + 2.0**-52])
 
     def test_too_short(self):
@@ -381,7 +411,7 @@ class TestEndToEnd:
         # keep the walk inside float64 exp range; the constant factor drops
         # out of the normalized returns exactly
         logw = np.cumsum(0.05 * draws)
-        prices = series_from_values(100.0 * np.exp(logw - logw.max()), id="walk")
+        prices = series_from_values(100.0 * np.exp(logw - logw.max()))
         normed = normalize(log_returns(prices, dt=1))
         ccdf = empirical_ccdf(normed, dt=1, grid=GridSpec(min=0.05, max=20.0, count=25))
         # normalized returns are the standardized draws, so the model is the
@@ -437,7 +467,7 @@ TABLE_READERS = {
     ),
 }
 
-PRICE_READER = (read_price_csv, {}, lambda series: (series.timestamps, series.values))
+PRICE_READER = (read_price_csv, {}, lambda series: (series.timestamps, series.log_values))
 
 
 def write_table(path, text, renames):
@@ -461,6 +491,11 @@ def read_through_pipe(tmp_path, text):
         assert not writer.is_alive()
 
 
+def named(path, pattern):
+    """A `pytest.raises` match: a reader's message names `path` first, then matches `pattern`."""
+    return f"^{re.escape(str(path))}: .*{pattern}"
+
+
 SHORT_ROW = "(invalid column index 1 with 1 columns)"
 BAD_PRICE = "(could not convert string 'x' to float64) in column 'price'"
 
@@ -474,7 +509,7 @@ class TestIO:
         timestamps, prices = dictreader_prices(path)
         assert series.timestamps.dtype == np.int64
         assert np.array_equal(series.timestamps, timestamps)
-        assert np.array_equal(series.values, prices)
+        assert np.array_equal(series.log_values, np.log(prices))
 
     @pytest.mark.parametrize("reader", sorted(TABLE_READERS))
     @pytest.mark.parametrize("case", sorted(PRICE_CSV_CASES))
@@ -510,7 +545,7 @@ class TestIO:
         # numpy counts data rows, from 0 or from 1 by the kind of error
         path = tmp_path / "bad.csv"
         path.write_bytes(newline.join(["timestamp,price", *lines, ""]).encode("utf-8"))
-        with pytest.raises(PriceDataError) as info:
+        with pytest.raises(ValueError) as info:
             read_price_csv(path)
         assert str(info.value).startswith(f"{path}: malformed row at line {line} {message}")
         assert "at row" not in str(info.value)
@@ -530,7 +565,7 @@ class TestIO:
         data = newline.join([*rows, b""])
         path = tmp_path / "prices.csv"
         path.write_bytes(data)
-        with pytest.raises(PriceDataError) as info:
+        with pytest.raises(ValueError) as info:
             read_price_csv(path)
         assert str(info.value) == (
             f"{path}: malformed row at line 30001 "
@@ -538,7 +573,8 @@ class TestIO:
         )
         if hasattr(os, "mkfifo"):
             # a pipe cannot be read again for the line: the codec's message stands
-            with pytest.raises(PriceDataError, match=r"malformed row \('utf-8' .* in position"):
+            pattern = r"malformed row \('utf-8' .* in position"
+            with pytest.raises(ValueError, match=named(tmp_path / "pipe", pattern)):
                 read_through_pipe(tmp_path, data)
 
     @pytest.mark.parametrize("reader", ["price", *sorted(TABLE_READERS), "fits_json"])
@@ -573,40 +609,39 @@ class TestIO:
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("timestamp,price\n", encoding="utf-8")
-        with pytest.raises(PriceDataError, match="at least 2 samples"):
+        with pytest.raises(ValueError, match=named(path, "at least 2 samples")):
             read_price_csv(path)
 
     def test_short_row(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("timestamp,price\n0,1.0\n1\n", encoding="utf-8")
-        with pytest.raises(PriceDataError, match="malformed row"):
+        with pytest.raises(ValueError, match=named(path, "malformed row")):
             read_price_csv(path)
 
     def test_price_csv_round_trip(self, tmp_path):
         path = tmp_path / "acme.csv"
         path.write_text("timestamp,price\n0,100.0\n1,101.5\n2,99.75\n", encoding="utf-8")
         s = read_price_csv(path)
-        assert s.id == "acme"
         assert list(s.timestamps) == [0, 1, 2]
-        assert s.values == pytest.approx([100.0, 101.5, 99.75])
+        assert s.log_values.tolist() == np.log([100.0, 101.5, 99.75]).tolist()
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,px\n0,1.0\n", encoding="utf-8")
-        with pytest.raises(PriceDataError):
+        with pytest.raises(ValueError, match=named(path, "expected columns timestamp,price")):
             read_price_csv(path)
 
     def test_bad_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("timestamp,price\n0,hello\n", encoding="utf-8")
-        with pytest.raises(PriceDataError, match="in column 'price'"):
+        with pytest.raises(ValueError, match=named(path, "in column 'price'")):
             read_price_csv(path)
 
     def test_bad_row_column_named_from_numpy_suffix(self, tmp_path):
         # numpy quotes the bad value before naming its column
         path = tmp_path / "bad.csv"
         path.write_text("timestamp,price\n0,column 9\n", encoding="utf-8")
-        with pytest.raises(PriceDataError, match="in column 'price'"):
+        with pytest.raises(ValueError, match=named(path, "in column 'price'")):
             read_price_csv(path)
 
     def test_header_record_over_two_lines(self, tmp_path):
@@ -615,7 +650,7 @@ class TestIO:
         path.write_bytes(b'timestamp,"volume\nnote",price\n1,2,0.75\n2,2,0.5\n4,2,0.25\n')
         series = read_price_csv(path)
         assert series.timestamps.tolist() == [1, 2, 4]
-        assert series.values.tolist() == [0.75, 0.5, 0.25]
+        assert series.log_values.tolist() == np.log([0.75, 0.5, 0.25]).tolist()
 
     @pytest.mark.parametrize("suffix", [".csv.gz", ".bz2", ".xz", ".lzma"])
     @pytest.mark.parametrize("reader", ["price", *sorted(TABLE_READERS)])
@@ -631,7 +666,8 @@ class TestIO:
         path = tmp_path / "prices.csv.gz"
         with gzip.open(path, "wt", encoding="utf-8") as fh:
             fh.write("timestamp,price\n0,1.0\n1,2.0\n")
-        with pytest.raises(PriceDataError, match="can't decode byte 0x8b in position 1"):
+        pattern = "can't decode byte 0x8b in position 1"
+        with pytest.raises(ValueError, match=named(path, pattern)):
             read_price_csv(path)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -643,16 +679,17 @@ class TestIO:
         series = read_through_pipe(tmp_path, text)
         timestamps, prices = dictreader_prices(path)
         assert np.array_equal(series.timestamps, timestamps)
-        assert np.array_equal(series.values, prices)
+        assert np.array_equal(series.log_values, np.log(prices))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_malformed_row(self, tmp_path):
         # no second pass over a pipe for the file line: numpy's row stands
-        with pytest.raises(PriceDataError, match=r"malformed row \(could not convert .* at row 1"):
+        pattern = r"malformed row \(could not convert .* at row 1"
+        with pytest.raises(ValueError, match=named(tmp_path / "pipe", pattern)):
             read_through_pipe(tmp_path, "timestamp,price\n0,1.0\n1,x\n")
 
     def test_nonpositive_price(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("timestamp,price\n0,1.0\n1,-3.0\n", encoding="utf-8")
-        with pytest.raises(PriceDataError):
+        with pytest.raises(ValueError, match=named(path, "prices must be positive")):
             read_price_csv(path)
