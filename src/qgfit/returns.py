@@ -50,8 +50,11 @@ _ENCODING = "utf-8-sig"
 class PriceSeries:
     """Log instrument values ln W(t) on a strictly increasing integer tick grid.
 
-    The prices W(t) are checked, finite and positive, and their log is taken
-    once here for every dt that follows; the prices themselves are not kept.
+    The ticks are a 1-D integer array within int64, and the prices W(t) a
+    1-D array of finite positive values.  The log of the prices is taken once
+    here for every dt that follows; the prices themselves are not kept.  The
+    ticks are kept as a contiguous int64 array, copied unless they are one
+    already, so a series holds 16 bytes per tick and no view into its input.
     """
 
     timestamps: np.ndarray
@@ -59,12 +62,20 @@ class PriceSeries:
     log_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, prices):
-        object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.int64))
+        ticks = np.asarray(self.timestamps)
         prices = np.asarray(prices, dtype=float)
-        if len(self.timestamps) != len(prices):
+        if ticks.ndim != 1 or prices.ndim != 1:
+            raise ValueError(
+                f"timestamps and prices must be 1-D, got shapes {ticks.shape} and {prices.shape}"
+            )
+        if len(ticks) != len(prices):
             raise ValueError("timestamps and prices must have equal length")
         if len(prices) < 2:
             raise ValueError("price series needs at least 2 samples")
+        if ticks.dtype.kind not in "iu" or not np.can_cast(ticks.dtype, np.int64):
+            raise ValueError(f"timestamps must be integers within int64, got dtype {ticks.dtype}")
+        # read_price_csv passes a field of loadtxt's records: the copy lets them go
+        object.__setattr__(self, "timestamps", np.ascontiguousarray(ticks, dtype=np.int64))
         if not np.all(self.timestamps[1:] > self.timestamps[:-1]):  # a diff could wrap
             raise ValueError("timestamps must be strictly increasing")
         if not np.all(np.isfinite(prices)):

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,70 @@ class TestLogReturns:
             ok = idx < len(ts)
             ok[ok] &= ts[idx[ok]] == ts[ok] + dt
             assert np.array_equal(log_returns(s, dt), logw[idx[ok]] - logw[ok])
+
+
+class TestPriceSeriesInput:
+    """Ticks are a 1-D integer array within int64 and prices a 1-D array, or ValueError."""
+
+    @pytest.mark.parametrize(
+        "timestamps, dtype",
+        [
+            ([0.5, 1.5, 2.7], "float64"),  # not truncated to 0, 1, 2
+            ([0.0, 1.0, 2.0], "float64"),
+            ([0.0, 1e19, 2e19], "float64"),  # past int64
+            (np.array([0, 1, 2], dtype=np.uint64), "uint64"),
+            ([0, 2**64, 2**65], "object"),
+            (["0", "1", "2"], "<U1"),
+            ([False, True, True], "bool"),
+        ],
+    )
+    def test_ticks_not_int64_integers_rejected(self, timestamps, dtype):
+        message = f"timestamps must be integers within int64, got dtype {re.escape(dtype)}$"
+        with pytest.raises(ValueError, match=message):
+            PriceSeries(timestamps=timestamps, prices=[1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint32, np.int64])
+    def test_integer_ticks_kept_as_int64(self, dtype):
+        s = PriceSeries(timestamps=np.array([1, 2, 4], dtype=dtype), prices=[1.0, 2.0, 3.0])
+        assert s.timestamps.dtype == np.int64
+        assert s.timestamps.tolist() == [1, 2, 4]
+
+    @pytest.mark.parametrize(
+        "timestamps, prices, shapes",
+        [
+            ([[0, 1], [2, 3]], [[1.0, 2.0], [3.0, 4.0]], "(2, 2) and (2, 2)"),
+            ([0, 1, 2], [[1.0, 2.0, 3.0]], "(3,) and (1, 3)"),
+            (0, 1.0, "() and ()"),
+        ],
+    )
+    def test_not_1d_rejected(self, timestamps, prices, shapes):
+        with pytest.raises(ValueError, match=re.escape(f"must be 1-D, got shapes {shapes}")):
+            PriceSeries(timestamps=timestamps, prices=prices)
+
+    @pytest.mark.parametrize(
+        "timestamps, prices, message",
+        [
+            ([], [], "price series needs at least 2 samples"),
+            ([0.5], [1.0], "price series needs at least 2 samples"),
+            ([0, 1], [1.0], "timestamps and prices must have equal length"),
+            ([0.5, 1.5], [1.0], "timestamps and prices must have equal length"),
+            ([1, 1], [1.0, 2.0], "timestamps must be strictly increasing"),
+        ],
+    )
+    def test_length_and_order_messages(self, timestamps, prices, message):
+        # the length is checked before the dtype: an empty list is float64
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PriceSeries(timestamps=timestamps, prices=prices)
+
+    def test_contiguous_int64_ticks_kept_as_given(self):
+        ticks = np.arange(3, dtype=np.int64)
+        assert PriceSeries(timestamps=ticks, prices=[1.0, 2.0, 3.0]).timestamps is ticks
+
+    def test_strided_ticks_copied_out(self):
+        records = np.array([(0, 1.0), (1, 2.0)], dtype=[("timestamp", np.int64), ("price", float)])
+        s = PriceSeries(timestamps=records["timestamp"], prices=records["price"])
+        assert s.timestamps.flags.owndata and s.timestamps.flags.c_contiguous
+        assert not np.shares_memory(s.timestamps, records)
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -693,3 +758,28 @@ class TestIO:
         path.write_text("timestamp,price\n0,1.0\n1,-3.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=named(path, "prices must be positive")):
             read_price_csv(path)
+
+
+# Bytes a read series may hold beyond its 16 a row: the series object and its
+# array headers, about 1 KiB.  A view into loadtxt's records would hold 8 more
+# bytes a row, 800 kB at this test's 100,000 rows.
+SERIES_FIXED_BYTES = 64 * 1024
+
+
+def test_read_series_holds_16_bytes_per_row(tmp_path):
+    # int64 ticks and float64 log prices: nothing of the parsed records is kept
+    n = 100_000
+    path = tmp_path / "walk.csv"
+    rows = "".join(f"{t},{100 + t % 7}\n" for t in range(n))
+    path.write_text("timestamp,price\n" + rows, encoding="utf-8")
+    read_price_csv(path)  # what a first read leaves behind is not the series'
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        series = read_price_csv(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(series) == n
+    assert series.timestamps.flags.owndata
+    assert held <= 16 * n + SERIES_FIXED_BYTES
