@@ -52,6 +52,8 @@ _MAX_LOG_PRICE_HALF_RANGE = 600.0
 # Rows formatted by one `%` per write of a CSV file: the whole file is never
 # held as row strings.
 _CSV_BLOCK_ROWS = 4096
+# Increments summed at once while `synth` finds its walk's range.
+_WALK_BLOCK = 65536
 
 
 class UsageError(Exception):
@@ -383,8 +385,7 @@ def cmd_scaling(args: argparse.Namespace, stage: Path) -> str:
     }
     _write_json(stage / "scaling.json", payload)
     for _, name, p, x, y in regressions:
-        xs = columns[x]
-        fitted = [p.amplitude * v ** p.exponent for v in xs]
+        xs, fitted = columns[x], p.fitted(columns[x])  # in range: the report checked
         _write_rows(stage / f"{name}.csv", [x, y, "fitted"], "%r,%r,%r", xs, columns[y], fitted)
     return f"wrote scaling report to {args.out}"
 
@@ -405,19 +406,32 @@ def _flag_params(args: argparse.Namespace) -> QGaussianParams:
 def cmd_synth(args: argparse.Namespace, stage: Path) -> str:
     params = _flag_params(args)
     try:
-        log_price = np.zeros(args.n)
+        log_price = np.empty(args.n)
     except (MemoryError, ValueError) as exc:  # numpy: no memory, or past the address space
         raise UsageError(f"--n {args.n} prices do not fit in memory: {exc}") from exc
 
+    # The increments are drawn into the walk's buffer and summed there in
+    # place once their scale is known, so the walk is the one n-value array.
+    log_price[0] = 0.0
+    increments = log_price[1:]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        increments = sample(params, args.n - 1, seed=args.seed)
-        np.cumsum(increments, out=log_price[1:])
-    if not np.isfinite(log_price).all():
+        sample(params, args.n - 1, seed=args.seed, out=increments)
+        # The walk's range, summed block by block from the carry: the same
+        # values as one cumsum, as cumsum adds in order.  numpy's reductions
+        # keep a NaN, which Python's min and max would drop.
+        low = high = carry = 0.0
+        for start in range(0, args.n - 1, _WALK_BLOCK):
+            walk = increments[start : start + _WALK_BLOCK].copy()
+            walk[0] += carry
+            np.cumsum(walk, out=walk)
+            low, high, carry = np.minimum(low, walk.min()), np.maximum(high, walk.max()), walk[-1]
+            del walk  # freed before the next block is copied
+    if not (np.isfinite(low) and np.isfinite(high)):
         raise NumericalError(
             f"synth at q={args.q}, beta={args.beta} gives a non-finite walk: chi-square "
             f"draws underflow to 0 near q = 3, and a small beta overflows the increments"
         )
-    half_range = 0.5 * (log_price.max() - log_price.min())
+    half_range = 0.5 * (high - low)
     if half_range > _MAX_LOG_PRICE_HALF_RANGE:
         # A heavy-tailed walk this long leaves float64 price range; shrink the
         # increments.  The repeated-price check below catches a shrink that
@@ -428,7 +442,7 @@ def cmd_synth(args: argparse.Namespace, stage: Path) -> str:
             file=sys.stderr,
         )
         increments *= scale
-        np.cumsum(increments, out=log_price[1:])
+    np.cumsum(increments, out=increments)
     if log_price.max() > _MAX_LOG_PRICE_HALF_RANGE or log_price.min() < -_MAX_LOG_PRICE_HALF_RANGE:
         # start price stays at 100 unless the walk wanders too far from it
         log_price -= 0.5 * (log_price.max() + log_price.min())

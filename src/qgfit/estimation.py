@@ -109,6 +109,22 @@ class PowerLawFit:
         if self.exponent_stderr < 0.0:
             raise ValueError("standard error cannot be negative")
 
+    def fitted(self, xs) -> list[float]:
+        """The line amplitude * x^exponent at each x, as Python floats.
+
+        A value past float64's range, to infinity or to 0, is a ValueError.
+        """
+        values = []
+        for x in map(float, xs):
+            try:
+                value = self.amplitude * x**self.exponent
+            except OverflowError:  # Python's float power raises where numpy's gives inf
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"the fitted line leaves float64's range at x={x!r}")
+            values.append(value)
+        return values
+
 
 @dataclass(frozen=True)
 class ScalingReport:
@@ -206,7 +222,9 @@ def fit_power_law(xs, ys) -> PowerLawFit:
     """Fit y = amplitude * x^exponent by ordinary least squares in log space.
 
     The exponent is reported signed, exactly as fitted; callers comparing
-    against quoted decay rates should compare magnitudes.
+    against quoted decay rates should compare magnitudes.  A line whose
+    amplitude, or whose value at one of the xs, leaves float64's range is a
+    ValueError.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -217,19 +235,28 @@ def fit_power_law(xs, ys) -> PowerLawFit:
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
         raise ValueError("power-law regression requires positive data")
     slope, intercept, stderr, r2 = _ols(np.log(xs), np.log(ys))
-    return PowerLawFit(
+    try:
+        amplitude = math.exp(intercept)
+    except OverflowError:
+        amplitude = math.inf
+    if not 0.0 < amplitude < math.inf:
+        raise ValueError(f"the amplitude exp({intercept!r}) leaves float64's range")
+    fit = PowerLawFit(
         exponent=slope,
-        amplitude=math.exp(intercept),
+        amplitude=amplitude,
         exponent_stderr=stderr,
         r_squared=min(max(r2, 0.0), 1.0),
     )
+    fit.fitted(xs)  # its line at the data, which raises past float64's range
+    return fit
 
 
 def scaling_report(fits: list[ScaleFitResult]) -> ScalingReport:
     """Regress the fitted parameters against the time scale.
 
     tau: q - 1 against dt; gamma: 1/beta against dt; delta: 1/beta against
-    q - 1.  Needs at least three distinct time scales and two distinct q.
+    q - 1.  Needs at least three distinct time scales and two distinct q.  A
+    regression whose line leaves float64's range is a ValueError naming it.
     """
     if len({f.dt for f in fits}) < 3:
         raise ValueError("need fits at 3 or more distinct time scales")
@@ -238,11 +265,17 @@ def scaling_report(fits: list[ScaleFitResult]) -> ScalingReport:
     dts = np.array([f.dt for f in fits], dtype=float)
     q_excess = np.array([f.q - 1.0 for f in fits])
     inv_beta = np.array([1.0 / f.beta for f in fits])
-    return ScalingReport(
-        tau_fit=fit_power_law(dts, q_excess),
-        gamma_fit=fit_power_law(dts, inv_beta),
-        delta_fit=fit_power_law(q_excess, inv_beta),
-    )
+    regressions = {}
+    for key, name, xs, ys in (
+        ("tau_fit", "q - 1 against dt (tau)", dts, q_excess),
+        ("gamma_fit", "1/beta against dt (gamma)", dts, inv_beta),
+        ("delta_fit", "1/beta against q - 1 (delta)", q_excess, inv_beta),
+    ):
+        try:
+            regressions[key] = fit_power_law(xs, ys)
+        except ValueError as exc:  # a line past float64's range
+            raise ValueError(f"{name}: {exc}") from exc
+    return ScalingReport(**regressions)
 
 
 def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:

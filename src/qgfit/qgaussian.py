@@ -24,6 +24,9 @@ __all__ = [
     "sample",
 ]
 
+# Chi-square draws made at once by `sample`.
+_CHI2_BLOCK = 65536
+
 
 @dataclass(frozen=True)
 class QGaussianParams:
@@ -114,24 +117,32 @@ def tail_to_q(alpha: float) -> float:
     return (3.0 + alpha) / (1.0 + alpha)
 
 
-def sample(params: QGaussianParams, n: int, seed: int) -> np.ndarray:
+def sample(params: QGaussianParams, n: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
     """Draw n i.i.d. variates, deterministically for a fixed seed.
 
     A q-Gaussian with 1 < q < 3 is a Student-t with nu = (3-q)/(q-1)
     degrees of freedom rescaled by 1/sqrt(beta(3-q)); the t variate is
     built explicitly as a standard normal over the square root of a
-    chi-squared over nu, all from one seeded PCG64 generator.
+    chi-squared over nu, all from one seeded PCG64 generator: the n normals
+    first, then the n chi-squares.  The draws are written into `out`, a
+    C-contiguous float64 array of n values, if one is given, and returned.
+    The chi-squares are drawn in blocks, so a call holds 8 bytes a draw
+    and one block.
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     q, beta = params.q, params.beta
     nu = (3.0 - q) / (q - 1.0)
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal(n)
-    chi2 = rng.chisquare(nu, n)
-    # In place, in the order normal / sqrt(chi2 / nu) / sqrt(beta(3-q)).
-    chi2 /= nu
-    np.sqrt(chi2, out=chi2)
-    draws /= chi2
+    draws = rng.standard_normal(n, out=out)  # numpy checks out's size and type first
+    for start in range(0, n, _CHI2_BLOCK):
+        # Drawn block by block, the chi-squares continue one stream, value for
+        # value those of one chisquare(nu, n).  In place, in the order
+        # normal / sqrt(chi2 / nu) / sqrt(beta(3-q)).
+        chi2 = rng.chisquare(nu, min(_CHI2_BLOCK, n - start))
+        chi2 /= nu
+        np.sqrt(chi2, out=chi2)
+        draws[start : start + len(chi2)] /= chi2
+        del chi2  # freed before the next block is drawn
     draws /= math.sqrt(beta * (3.0 - q))
     return draws

@@ -17,6 +17,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -144,6 +145,13 @@ class TestTable1:
         assert str(tmp_path / "table1.csv") in capsys.readouterr().err
 
 
+# Bytes `synth` may hold beyond its 9 a price: one block of 65,536 chi-square
+# draws or walk sums (512 KiB), or one 4,096-row block of CSV text and its
+# Python numbers (about 0.5 MB).  Two float64 arrays of the walk's size would
+# hold 8 more bytes a price, 1.6 MB at 200,000 prices.
+SYNTH_FIXED_BYTES = 1024 * 1024
+
+
 class TestSynth:
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -209,6 +217,22 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "q=2.9" in err and "equal to the one before" in err
         assert not out.exists()
+
+    def test_walk_holds_9_bytes_per_price(self, tmp_path, capsys):
+        # a float64 walk, into which the increments are drawn and summed,
+        # and the repeated-price mask of one byte a price
+        n = 200_000
+        argv = ["synth", "--q", 2.0, "--beta", 1, "--n", n, "--seed", 1]
+        assert run(*argv, "--out", tmp_path / "a") == 0  # imports and first-call caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert run(*argv, "--out", tmp_path / "b") == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert "increments scaled" in capsys.readouterr().err  # the rescale branch too
+        assert peak <= 9 * n + SYNTH_FIXED_BYTES
 
     def test_out_under_regular_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
         blocker = tmp_path / "file"
@@ -543,6 +567,41 @@ class TestScaling:
         out = tmp_path / "o"
         assert run("scaling", "--fits", path, "--out", out) == 2
         assert capsys.readouterr().err == f"qgfit: data error: {path}: {detail}\n"
+        assert not out.exists()
+
+    # Fits files inside the search box whose regression leaves float64's range:
+    # three nearly equal q make the delta slope huge, and dt near 1e9 makes
+    # the fitted 1/beta column overflow.
+    @pytest.mark.parametrize(
+        "fits, detail",
+        [
+            (
+                '[{"dt":1,"q":1.5,"beta":10000},{"dt":2,"q":1.5000000001,"beta":1},'
+                '{"dt":4,"q":1.5000000002,"beta":0.0001}]',
+                "1/beta against q - 1 (delta): the amplitude exp(31920604653.83063) "
+                "leaves float64's range",
+            ),
+            (
+                '[{"dt":1,"q":1.5,"beta":0.0001},{"dt":2,"q":1.5000000001,"beta":1},'
+                '{"dt":4,"q":1.5000000002,"beta":10000}]',
+                "1/beta against q - 1 (delta): the amplitude exp(-31920604653.83063) "
+                "leaves float64's range",
+            ),
+            (
+                '[{"dt":769230769,"q":1.4,"beta":10000},{"dt":1000000000,"q":1.5,"beta":1},'
+                '{"dt":1300000000,"q":1.6,"beta":0.0001}]',
+                "1/beta against dt (gamma): the fitted line leaves float64's range "
+                "at x=769230769.0",
+            ),
+        ],
+        ids=["amplitude_overflow", "amplitude_underflow", "fitted_overflow"],
+    )
+    def test_regression_past_float64_is_data_error(self, tmp_path, capsys, fits, detail):
+        path = tmp_path / "fits.json"
+        path.write_text(fits, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("scaling", "--fits", path, "--out", out) == 2
+        assert capsys.readouterr() == ("", f"qgfit: data error: {path}: {detail}\n")
         assert not out.exists()
 
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys):

@@ -14,7 +14,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgfit import cli
@@ -173,8 +173,22 @@ def run_on_table(command: str, text: str, suffix: str) -> None:
     run_guarded({name: text}, [command, *argv])
 
 
+# Fits that FITS does not draw (dt past 1000, nearly equal q) whose
+# regression leaves float64's range.
 @GUARD
 @given(FITS_JSON)
+@example(
+    '[{"dt":1,"q":1.5,"beta":10000},{"dt":2,"q":1.5000000001,"beta":1},'
+    '{"dt":4,"q":1.5000000002,"beta":0.0001}]'
+)
+@example(
+    '[{"dt":1,"q":1.5,"beta":0.0001},{"dt":2,"q":1.5000000001,"beta":1},'
+    '{"dt":4,"q":1.5000000002,"beta":10000}]'
+)
+@example(
+    '[{"dt":769230769,"q":1.4,"beta":10000},{"dt":1000000000,"q":1.5,"beta":1},'
+    '{"dt":1300000000,"q":1.6,"beta":0.0001}]'
+)
 def test_scaling_on_generated_fits_json(text):
     run_guarded({"fits.json": text}, ["scaling", "--fits", "fits.json"])
 

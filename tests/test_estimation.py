@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qgfit import cli, estimation
 from qgfit.datasets import TABLE1_ROWS
 from qgfit.estimation import (
+    PowerLawFit,
     ScaleFitResult,
     estimate_tail_exponent,
     fit_power_law,
@@ -187,6 +188,19 @@ class TestFitPowerLaw:
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
             fit_power_law([1.0, 2.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("x, exponent", [(10.0, 400.0), (10.0, -400.0), (1e9, 2.0)])
+    def test_line_past_float64_is_rejected(self, x, exponent):
+        # x^exponent overflows, underflows to 0, or overflows with the amplitude
+        fit = PowerLawFit(exponent=exponent, amplitude=1e300, exponent_stderr=0.0, r_squared=1.0)
+        assert fit.fitted([1.0]) == [1e300]
+        with pytest.raises(ValueError, match=f"leaves float64's range at x={x!r}"):
+            fit.fitted([1.0, x])
+
+    def test_amplitude_past_float64_is_rejected(self):
+        # nearly equal x make the slope, and so the intercept, huge
+        with pytest.raises(ValueError, match=r"the amplitude exp\(.*\) leaves float64's range"):
+            fit_power_law([0.5, 0.5000000001, 0.5000000002], [1e-4, 1.0, 1e4])
 
 
 class TestScalingReport:

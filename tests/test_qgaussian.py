@@ -316,6 +316,9 @@ class TestTailRelations:
                 tail_to_q(alpha)
 
 
+CHI2_BLOCK = qgaussian._CHI2_BLOCK
+
+
 class TestSample:
     def test_deterministic(self):
         p = QGaussianParams(1.5, 1.0)
@@ -330,6 +333,27 @@ class TestSample:
         chi2 = rng.chisquare(nu, 5000)
         expected = normal / np.sqrt(chi2 / nu) / math.sqrt(beta * (3.0 - q))
         assert np.array_equal(sample(QGaussianParams(q, beta), 5000, seed=8), expected)
+
+    # sizes about the block of chi-square draws
+    @pytest.mark.parametrize(
+        "n", [CHI2_BLOCK - 1, CHI2_BLOCK, CHI2_BLOCK + 1, 2 * CHI2_BLOCK + 3]
+    )
+    def test_out_is_filled_with_the_same_draws(self, n):
+        q, beta = 1.86, 0.7
+        nu = (3.0 - q) / (q - 1.0)
+        rng = np.random.default_rng(5)
+        normal = rng.standard_normal(n)
+        chi2 = rng.chisquare(nu, n)
+        expected = normal / np.sqrt(chi2 / nu) / math.sqrt(beta * (3.0 - q))
+        buf = np.empty(n)
+        assert sample(QGaussianParams(q, beta), n, seed=5, out=buf) is buf
+        assert np.array_equal(buf, expected)
+        assert np.array_equal(sample(QGaussianParams(q, beta), n, seed=5), expected)
+
+    @pytest.mark.parametrize("size", [9, 11])
+    def test_out_of_another_size_is_rejected(self, size):
+        with pytest.raises(ValueError):
+            sample(QGaussianParams(1.5, 1.0), 10, seed=1, out=np.empty(size))
 
     def test_cauchy_median(self):
         # P(|X| > 1) = 1/2 for the Cauchy case
