@@ -100,6 +100,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class _Once(argparse.Action):
+    """Action of a list flag that may be given once: argparse would keep only its last list.
+
+    Until the flag is parsed its dest holds the default itself, a --config
+    file's list included, so that list is replaced as any default is.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not self.default:
+            raise argparse.ArgumentError(
+                self, f"given more than once; list every file after one {self.option_strings[0]}"
+            )
+        setattr(namespace, self.dest, values)
+
+
 def _dt_ladder(text: str) -> tuple[int, ...]:
     """Type of --dt: comma-separated ticks, at least 1 and strictly increasing; none is empty."""
     try:
@@ -141,7 +156,13 @@ def _plot_format(text: str) -> str:
 # pass through `type` like typed values, so a default read from --config is
 # checked by the same function as a flag.
 _FLAGS = (
-    ("--input", "fit", dict(nargs="+", metavar="PATH", help="input CSV file(s)")),
+    (
+        "--input",
+        "fit",
+        dict(
+            action=_Once, nargs="+", metavar="PATH", help="input CSV file(s), all after one --input"
+        ),
+    ),
     (
         "--dt",
         "fit",

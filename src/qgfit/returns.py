@@ -13,7 +13,7 @@ import itertools
 import re
 import warnings
 from contextlib import contextmanager
-from dataclasses import InitVar, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,23 +46,21 @@ _DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 _ENCODING = "utf-8-sig"
 
 
-@dataclass(frozen=True, eq=False)
 class PriceSeries:
     """Log instrument values ln W(t) on a strictly increasing integer tick grid.
 
     The ticks are a 1-D integer array within int64, and the prices W(t) a
     1-D array of finite positive values.  The log of the prices is taken once
     here for every dt that follows; the prices themselves are not kept.  The
-    ticks are kept as a contiguous int64 array, copied unless they are one
-    already, so a series holds 16 bytes per tick and no view into its input.
+    grid is unbroken when its ticks run first, first + 1, ... without a hole:
+    then only the first tick is kept, and a series holds 8 bytes per tick.
+    The ticks of a gapped grid are kept as a contiguous int64 array, copied
+    unless they are one already, so it holds 16 bytes per tick.  Neither
+    keeps a view into its input.  A series is immutable.
     """
 
-    timestamps: np.ndarray
-    prices: InitVar[np.ndarray]
-    log_values: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self, prices):
-        ticks = np.asarray(self.timestamps)
+    def __init__(self, timestamps: np.ndarray, prices: np.ndarray):
+        ticks = np.asarray(timestamps)
         prices = np.asarray(prices, dtype=float)
         if ticks.ndim != 1 or prices.ndim != 1:
             raise ValueError(
@@ -74,15 +72,34 @@ class PriceSeries:
             raise ValueError("price series needs at least 2 samples")
         if ticks.dtype.kind not in "iu" or not np.can_cast(ticks.dtype, np.int64):
             raise ValueError(f"timestamps must be integers within int64, got dtype {ticks.dtype}")
-        # read_price_csv passes a field of loadtxt's records: the copy lets them go
-        object.__setattr__(self, "timestamps", np.ascontiguousarray(ticks, dtype=np.int64))
-        if not np.all(self.timestamps[1:] > self.timestamps[:-1]):  # a diff could wrap
+        if not np.all(ticks[1:] > ticks[:-1]):  # a diff could wrap
             raise ValueError("timestamps must be strictly increasing")
         if not np.all(np.isfinite(prices)):
             raise ValueError("prices must be finite")
         if not np.all(prices > 0.0):
             raise ValueError("prices must be positive (log returns are taken)")
+        first = int(ticks[0])
+        # read_price_csv passes a field of loadtxt's records: a gapped grid's
+        # copy lets them go, and an unbroken grid keeps nothing of them
+        gapped = None
+        if int(ticks[-1]) - first != len(ticks) - 1:
+            gapped = np.ascontiguousarray(ticks, dtype=np.int64)
+        object.__setattr__(self, "_first_tick", first)
+        object.__setattr__(self, "_gapped_ticks", gapped)
         object.__setattr__(self, "log_values", np.log(prices))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def timestamps(self) -> np.ndarray:
+        """The int64 ticks: those kept for a gapped grid, or a new array for an unbroken one."""
+        if self._gapped_ticks is not None:
+            return self._gapped_ticks
+        return np.int64(self._first_tick) + np.arange(len(self), dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.log_values)
@@ -150,17 +167,18 @@ def log_returns(series: PriceSeries, dt: int) -> np.ndarray:
     """Log returns ln W(t+dt) - ln W(t) over every pair exactly dt ticks apart.
 
     Gaps in the tick grid simply yield fewer return observations; nothing is
-    interpolated.  Uses the exact log form, not the relative-difference
-    approximation.  The result is a fresh array.
+    interpolated.  On an unbroken grid the pairs are one slice apart and no
+    tick is read; a gapped grid's ticks are searched for each pair.  Uses
+    the exact log form, not the relative-difference approximation.  The
+    result is a fresh array.
     """
     if dt < 1:
         raise ValueError(f"dt must be a positive integer, got {dt}")
     if dt >= len(series):
         raise ValueError(f"dt={dt} must be smaller than the series length {len(series)}")
-    ts = series.timestamps
     logw = series.log_values
-    if ts[0] + (len(ts) - 1) == ts[-1]:  # cannot wrap: ts[-1] is at least that
-        # strictly increasing and no gaps: the pair of tick i is tick i + dt
+    ts = series._gapped_ticks
+    if ts is None:  # an unbroken grid: the pair of tick i is tick i + dt
         return logw[dt:] - logw[:-dt]
     # only ticks up to int64 max - dt have a pair that int64 can hold
     target = ts[: np.searchsorted(ts, np.iinfo(np.int64).max - dt, side="right")] + dt

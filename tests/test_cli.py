@@ -295,6 +295,12 @@ class TestSynth:
         assert not out.exists()
 
 
+# Bytes `fit` may hold beyond its 24 a tick: one scale's grid, fit and curve
+# text, and the pair lists of its output writers, about 60 kB.  A series that
+# kept its ticks would peak 8 more bytes a tick, 1.6 MB at 200,000 ticks.
+FIT_FIXED_BYTES = 256 * 1024
+
+
 class TestFit:
     def test_two_company_bundle_shapes(self, tmp_path):
         for seed, name in [(5, "alpha"), (6, "bravo")]:
@@ -510,6 +516,25 @@ class TestFit:
         err = capsys.readouterr().err
         assert err == f"qgfit: data error: pooled returns at dt=1: {message}\n"
         assert not out.exists()
+
+    def test_fit_peaks_at_24_bytes_per_tick(self, tmp_path, capsys):
+        # an unbroken grid: reading holds loadtxt's records (16) and the log
+        # prices (8); each scale the log prices, the returns and one array of
+        # their size (np.std's temporary or the sorted |r|)
+        n = 200_000
+        walk = tmp_path / "walk"
+        assert run("synth", "--q", 1.5, "--beta", 1, "--n", n, "--seed", 1, "--out", walk) == 0
+        argv = ["fit", "--input", walk / "synth.csv", "--dt", "1,4,16"]
+        assert run(*argv, "--out", tmp_path / "a") == 0  # imports and first-call caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert run(*argv, "--out", tmp_path / "b") == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert "warning" not in capsys.readouterr().err
+        assert peak <= 25 * n + FIT_FIXED_BYTES
 
 
 class TestScaling:
@@ -736,6 +761,43 @@ class TestConfigPrecedence:
         cfg.write_text("seed = 5\n", encoding="utf-8")
         assert run(*walk_flags, "--config", cfg, "--out", from_cfg) == 0
         assert (from_cfg / "synth.csv").read_bytes() == (flags / "synth.csv").read_bytes()
+
+    @pytest.mark.parametrize("config", [False, True], ids=["flags", "config"])
+    def test_repeated_input_is_usage_error(self, tmp_path, capsys, monkeypatch, config):
+        # argparse would keep only the last flag's files and fit them alone
+        def unexpected(path):
+            raise AssertionError("an input was read before the flags were checked")
+
+        monkeypatch.setattr(cli, "read_price_csv", unexpected)
+        a, b = write_walk(tmp_path / "a.csv"), write_walk(tmp_path / "b.csv", n=3000)
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"input = {a}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        argv = ["fit", "--input", a, "--input", b, "--dt", 1, "--out", out]
+        assert run(*argv, *(["--config", cfg] if config else [])) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "argument --input: given more than once; list every file after one --input\n"
+        )
+        assert not out.exists()
+
+    def test_inputs_after_one_flag_are_pooled(self, tmp_path):
+        a, b = write_walk(tmp_path / "a.csv"), write_walk(tmp_path / "b.csv", n=3000)
+        out = tmp_path / "o"
+        assert run("fit", "--input", a, b, "--dt", 1, "--format", "json", "--out", out) == 0
+        assert json.loads((out / "ccdf_dt1.json").read_text())["n_samples"] == 1999 + 2999
+
+    def test_one_input_flag_replaces_config_input(self, tmp_path):
+        a, b = write_walk(tmp_path / "a.csv"), write_walk(tmp_path / "b.csv", n=3000)
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"input = {a}\n", encoding="utf-8")
+        flag, from_cfg = tmp_path / "flag", tmp_path / "cfg"
+        assert run("fit", "--input", b, "--dt", 1, "--format", "json", "--out", flag) == 0
+        argv = ["fit", "--config", cfg, "--input", b, "--dt", 1, "--format", "json"]
+        assert run(*argv, "--out", from_cfg) == 0
+        assert json.loads((from_cfg / "ccdf_dt1.json").read_text())["n_samples"] == 2999
+        for name in ("fits.json", "ccdf_dt1.json"):
+            assert (from_cfg / name).read_bytes() == (flag / name).read_bytes()
 
     @pytest.mark.parametrize(
         "line, flag",

@@ -144,7 +144,8 @@ class TestPriceSeriesInput:
             PriceSeries(timestamps=timestamps, prices=prices)
 
     def test_contiguous_int64_ticks_kept_as_given(self):
-        ticks = np.arange(3, dtype=np.int64)
+        # a gapped grid keeps its ticks; an unbroken one keeps none
+        ticks = np.array([0, 1, 3], dtype=np.int64)
         assert PriceSeries(timestamps=ticks, prices=[1.0, 2.0, 3.0]).timestamps is ticks
 
     def test_strided_ticks_copied_out(self):
@@ -152,6 +153,16 @@ class TestPriceSeriesInput:
         s = PriceSeries(timestamps=records["timestamp"], prices=records["price"])
         assert s.timestamps.flags.owndata and s.timestamps.flags.c_contiguous
         assert not np.shares_memory(s.timestamps, records)
+
+    @pytest.mark.parametrize("name", ["timestamps", "log_values", "prices", "unknown"])
+    def test_attributes_cannot_be_assigned_or_deleted(self, name):
+        for ticks in ([0, 1, 2], [0, 1, 3]):  # unbroken and gapped
+            s = PriceSeries(timestamps=ticks, prices=[1.0, 2.0, 3.0])
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(s, name, np.zeros(3))
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(s, name)
+            assert s.timestamps.tolist() == ticks
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -167,6 +178,22 @@ class TestInt64Timestamps:
         assert s.timestamps.tolist() == [INT64_MIN, 0, INT64_MAX]
         # no two ticks are 1 apart; max + 1 would wrap onto min
         assert len(log_returns(s, dt=1)) == 0
+
+    @pytest.mark.parametrize(
+        "ticks",
+        [
+            [INT64_MIN, INT64_MIN + 1, INT64_MIN + 2],
+            [INT64_MAX - 2, INT64_MAX - 1, INT64_MAX],
+            np.array([-128, -127, -126], dtype=np.int8),
+            np.array([2**32 - 3, 2**32 - 2, 2**32 - 1], dtype=np.uint32),
+        ],
+        ids=["int64_min", "int64_max", "int8_min", "uint32_max"],
+    )
+    def test_unbroken_grid_at_the_ends_round_trips(self, ticks):
+        s = PriceSeries(timestamps=ticks, prices=[1.0, 2.0, 8.0])
+        assert s.timestamps.dtype == np.int64
+        assert s.timestamps.tolist() == list(map(int, ticks))
+        assert log_returns(s, dt=2).tolist() == [math.log(8.0)]
 
     def test_wrapping_step_rejected(self):
         # max to min is a decrease whose int64 difference wraps to +1
@@ -760,18 +787,14 @@ class TestIO:
             read_price_csv(path)
 
 
-# Bytes a read series may hold beyond its 16 a row: the series object and its
-# array headers, about 1 KiB.  A view into loadtxt's records would hold 8 more
-# bytes a row, 800 kB at this test's 100,000 rows.
+# Bytes a read series may hold beyond its 8 or 16 a row: the series object
+# and its array headers, about 1 KiB.  A view into loadtxt's records would
+# hold 8 more bytes a row, 800 kB at these tests' 100,000 rows.
 SERIES_FIXED_BYTES = 64 * 1024
 
 
-def test_read_series_holds_16_bytes_per_row(tmp_path):
-    # int64 ticks and float64 log prices: nothing of the parsed records is kept
-    n = 100_000
-    path = tmp_path / "walk.csv"
-    rows = "".join(f"{t},{100 + t % 7}\n" for t in range(n))
-    path.write_text("timestamp,price\n" + rows, encoding="utf-8")
+def held_by_read_series(path):
+    """The series read from `path`, and the bytes still allocated once it is read."""
     read_price_csv(path)  # what a first read leaves behind is not the series'
     tracemalloc.start()
     try:
@@ -780,6 +803,29 @@ def test_read_series_holds_16_bytes_per_row(tmp_path):
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    return series, held
+
+
+def test_read_series_holds_16_bytes_per_row(tmp_path):
+    # a gapped grid: int64 ticks and float64 log prices, and nothing of the
+    # parsed records
+    n = 100_000
+    path = tmp_path / "walk.csv"
+    rows = "".join(f"{2 * t},{100 + t % 7}\n" for t in range(n))
+    path.write_text("timestamp,price\n" + rows, encoding="utf-8")
+    series, held = held_by_read_series(path)
     assert len(series) == n
     assert series.timestamps.flags.owndata
     assert held <= 16 * n + SERIES_FIXED_BYTES
+
+
+def test_read_unbroken_series_holds_8_bytes_per_row(tmp_path):
+    # ticks t0, t0 + 1, ...: float64 log prices and the first tick only
+    n = 100_000
+    path = tmp_path / "walk.csv"
+    rows = "".join(f"{t + 390},{100 + t % 7}\n" for t in range(n))
+    path.write_text("timestamp,price\n" + rows, encoding="utf-8")
+    series, held = held_by_read_series(path)
+    assert len(series) == n
+    assert np.array_equal(series.timestamps, np.arange(390, n + 390))
+    assert held <= 8 * n + SERIES_FIXED_BYTES
