@@ -23,6 +23,7 @@ try:
         ScaleFitResult,
         ScalingReport,
         estimate_tail_exponent,
+        fit_ladder,
         fit_power_law,
         fit_qgaussian_ccdf,
         scaling_report,
@@ -62,6 +63,7 @@ __all__ = [
     "ScaleFitResult",
     "ScalingReport",
     "estimate_tail_exponent",
+    "fit_ladder",
     "fit_power_law",
     "fit_qgaussian_ccdf",
     "scaling_report",

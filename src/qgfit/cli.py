@@ -24,7 +24,7 @@ from .datasets import DEFAULT_DT_LADDER, TABLE1_ROWS
 from .estimation import (
     _MIN_FIT_POINTS,
     ScaleFitResult,
-    fit_qgaussian_ccdf,
+    fit_ladder,
     load_scale_fits,
     scaling_report,
 )
@@ -32,11 +32,7 @@ from .qgaussian import QGaussianParams, ccdf_abs, pdf, sample
 from .returns import (
     GridSpec,
     _reading,
-    empirical_ccdf,
-    log_returns,
-    normalize,
     numerical_pdf,
-    pool,
     read_ccdf_csv,
     read_price_csv,
 )
@@ -338,35 +334,16 @@ def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
         if real in spellings:
             raise UsageError(f"--input {spellings[real]} and {path} are the same file")
         spellings[real] = path
-    series = [read_price_csv(p) for p in args.input]
+    series = {path: read_price_csv(path) for path in args.input}  # keys distinct: checked above
 
     fits = []
-    for dt in args.dt:
-        batches = []
-        for path, s in zip(args.input, series):
-            try:  # a series too short for dt, or constant over it
-                batches.append(normalize(log_returns(s, dt)))
-            except ValueError as exc:
-                raise ValueError(f"{path} at dt={dt}: {exc}") from exc
-        pooled = pool(batches)
-        del batches  # pool copies several batches: these are not held while the scale is fitted
-        n_pooled = len(pooled)
-        try:  # besides one copy of |pooled|, this scale's arrays hold grid.count points
-            ccdf = empirical_ccdf(pooled, dt, grid)
-            del pooled  # not held while this scale is fitted and the next one built
-            fit = fit_qgaussian_ccdf(ccdf)
-            _write_fit_curve(stage, args.format, ccdf, fit)
-        except ValueError as exc:  # a grid past the data, or too few points left on it
-            raise ValueError(f"pooled returns at dt={dt}: {exc}") from exc
-        except MemoryError as exc:
-            raise MemoryError(
-                f"pooled returns at dt={dt}: {n_pooled} returns on a {grid.count}-point grid: {exc}"
-            ) from exc
+    for ccdf, fit in fit_ladder(series, args.dt, grid):
+        _write_fit_curve(stage, args.format, ccdf, fit)
         if not fit.converged:
-            print(f"warning: fit at dt={dt} did not converge", file=sys.stderr)
+            print(f"warning: fit at dt={fit.dt} did not converge", file=sys.stderr)
         if fit.at_bound:
             print(
-                f"warning: fit at dt={dt} ended on the search-box edge "
+                f"warning: fit at dt={fit.dt} ended on the search-box edge "
                 f"(q={fit.q:.6g}, beta={fit.beta:.6g})",
                 file=sys.stderr,
             )

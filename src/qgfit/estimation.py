@@ -1,10 +1,12 @@
 """Least-squares fitting of (q, beta) to exceedance curves and the scaling laws.
 
-Two routes to the tail index are provided: a full least-squares fit of the
-model CCDF in log space, and a direct log-log regression of the tail region
-combined with the exact tail-exponent relation.  Power-law regressions of
-the fitted parameters against the time scale extract the three scaling
-exponents.
+`fit_ladder` runs the whole per-scale computation: for each time scale of a
+ladder it pools the normalized log returns of every series, builds their
+exceedance curve and fits (q, beta) to it.  Two routes to the tail index
+are provided: a full least-squares fit of the model CCDF in log space, and
+a direct log-log regression of the tail region combined with the exact
+tail-exponent relation.  Power-law regressions of the fitted parameters
+against the time scale extract the three scaling exponents.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import math
 import sys
 import typing
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -20,7 +23,17 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .qgaussian import QGaussianParams, ccdf_abs, tail_to_q
-from .returns import EmpiricalCCDF, _read_csv_columns, _reading
+from .returns import (
+    EmpiricalCCDF,
+    GridSpec,
+    PriceSeries,
+    _read_csv_columns,
+    _reading,
+    empirical_ccdf,
+    log_returns,
+    normalize,
+    pool,
+)
 
 __all__ = [
     "ScaleFitResult",
@@ -29,6 +42,7 @@ __all__ = [
     "Q_BOUNDS",
     "BETA_BOUNDS",
     "fit_qgaussian_ccdf",
+    "fit_ladder",
     "estimate_tail_exponent",
     "fit_power_law",
     "scaling_report",
@@ -171,6 +185,43 @@ def fit_qgaussian_ccdf(ccdf: EmpiricalCCDF) -> ScaleFitResult:
         n_points=len(ccdf),
         converged=bool(result.success),
     )
+
+
+def fit_ladder(
+    series: Mapping[str, PriceSeries], ladder: Sequence[int], grid: GridSpec = GridSpec()
+) -> Iterator[tuple[EmpiricalCCDF, ScaleFitResult]]:
+    """Each scale's exceedance curve and fit, one scale at a time in `ladder` order.
+
+    At each dt the log returns of every series are normalized, pooled, and
+    turned into an exceedance curve on `grid`, which `fit_qgaussian_ccdf`
+    fits.  A series too short for dt, or constant over it, is a ValueError
+    naming its key and dt; a pooled scale that fails is a ValueError or
+    MemoryError naming dt.  A scale's returns are freed before it is
+    yielded, so a caller that writes each scale as it comes holds one
+    scale's curve at a time, and sees every earlier scale before a later
+    one fails.
+    """
+    for dt in ladder:
+        batches = []
+        for name, s in series.items():
+            try:  # a series too short for dt, or constant over it
+                batches.append(normalize(log_returns(s, dt)))
+            except ValueError as exc:
+                raise ValueError(f"{name} at dt={dt}: {exc}") from exc
+        pooled = pool(batches)
+        del batches  # pool copies several batches: these are not held while the scale is fitted
+        n_pooled = len(pooled)
+        try:  # besides one copy of |pooled|, this scale's arrays hold grid.count points
+            ccdf = empirical_ccdf(pooled, dt, grid)
+            del pooled  # not held while this scale is fitted and the next one built
+            fit = fit_qgaussian_ccdf(ccdf)
+        except ValueError as exc:  # a grid past the data, or too few points left on it
+            raise ValueError(f"pooled returns at dt={dt}: {exc}") from exc
+        except MemoryError as exc:
+            raise MemoryError(
+                f"pooled returns at dt={dt}: {n_pooled} returns on a {grid.count}-point grid: {exc}"
+            ) from exc
+        yield ccdf, fit
 
 
 def _start_q(ccdf: EmpiricalCCDF) -> float:

@@ -32,7 +32,7 @@ except ImportError:  # not on Windows
     resource = None
 
 import qgfit
-from qgfit import cli
+from qgfit import cli, estimation
 from qgfit.estimation import Q_BOUNDS
 from qgfit.qgaussian import QGaussianParams, ccdf_abs
 
@@ -460,7 +460,7 @@ class TestFit:
         def no_memory(ccdf):
             raise MemoryError(f"Unable to allocate {len(ccdf)} points")
 
-        monkeypatch.setattr(cli, "fit_qgaussian_ccdf", no_memory)
+        monkeypatch.setattr(estimation, "fit_qgaussian_ccdf", no_memory)
         out = tmp_path / "o"
         walk = write_walk(tmp_path / "walk.csv")
         assert run("fit", "--input", walk, "--dt", "1", "--grid-count", 20, "--out", out) == 1
@@ -472,24 +472,25 @@ class TestFit:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "target, error, argv, message",
+        "module, target, error, argv, message",
         [
-            ("empirical_ccdf", MemoryError("Unable to allocate 160 B"), ["fit", "--dt", "1,2"],
+            (estimation, "empirical_ccdf", MemoryError("Unable to allocate 160 B"),
+             ["fit", "--dt", "1,2"],
              "pooled returns at dt=1: 1999 returns on a 20-point grid: Unable to allocate 160 B"),
-            ("read_price_csv", MemoryError("Unable to allocate 16 kB"), ["fit", "--dt", "1"],
+            (cli, "read_price_csv", MemoryError("Unable to allocate 16 kB"), ["fit", "--dt", "1"],
              "Unable to allocate 16 kB"),
-            ("sample", MemoryError(), ["synth", "--q", "1.5", "--beta", "1", "--n", "100"],
+            (cli, "sample", MemoryError(), ["synth", "--q", "1.5", "--beta", "1", "--n", "100"],
              "allocation failed"),
         ],
         ids=["ccdf", "read", "sample"],
     )
     def test_out_of_memory_is_one_line(
-        self, tmp_path, capsys, monkeypatch, target, error, argv, message
+        self, tmp_path, capsys, monkeypatch, module, target, error, argv, message
     ):
         def no_memory(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, target, no_memory)
+        monkeypatch.setattr(module, target, no_memory)
         walk = write_walk(tmp_path / "walk.csv")
         out = tmp_path / "o"
         out.mkdir()

@@ -14,13 +14,14 @@ from qgfit.estimation import (
     PowerLawFit,
     ScaleFitResult,
     estimate_tail_exponent,
+    fit_ladder,
     fit_power_law,
     fit_qgaussian_ccdf,
     load_scale_fits,
     scaling_report,
 )
 from qgfit.qgaussian import QGaussianParams, ccdf_abs, sample, tail_to_q
-from qgfit.returns import EmpiricalCCDF, GridSpec, empirical_ccdf
+from qgfit.returns import EmpiricalCCDF, GridSpec, PriceSeries, empirical_ccdf, read_price_csv
 
 
 def model_ccdf(q, beta, lo=1e-2, hi=1e2, n=60, dt=1):
@@ -120,6 +121,68 @@ class TestFitQGaussianCcdf:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_qgaussian_ccdf(model_ccdf(1.5, 1.0, n=5))
+
+
+def heavy_walk(n, seed, gapped=False):
+    """A Student-t price walk from tick 0; gapped, every 7th tick is missing."""
+    ticks = np.arange(n + n // 6) if gapped else np.arange(n)
+    if gapped:
+        ticks = ticks[ticks % 7 != 6][:n]
+    rng = np.random.default_rng(seed)
+    return PriceSeries(ticks, 100.0 * np.exp(np.cumsum(1e-2 * rng.standard_t(3, n))))
+
+
+class TestFitLadder:
+    LADDER = (1, 4, 16)
+
+    @pytest.fixture(scope="class")
+    def panel(self, tmp_path_factory):
+        """Three walk CSVs, the second on a gapped grid, and `fit`'s output directory."""
+        root = tmp_path_factory.mktemp("panel")
+        paths = []
+        for i, n in enumerate((3000, 2500, 2000)):
+            walk = heavy_walk(n, seed=i, gapped=i == 1)
+            prices = np.exp(walk.log_values).tolist()
+            rows = "".join(f"{t},{p!r}\n" for t, p in zip(walk.timestamps.tolist(), prices))
+            paths.append(root / f"walk{i}.csv")
+            paths[-1].write_text("timestamp,price\n" + rows, encoding="utf-8")
+        dts = ",".join(map(str, self.LADDER))
+        argv = ["fit", "--input", *map(str, paths), "--dt", dts, "--out", str(root / "out")]
+        assert cli.main(argv) == 0
+        return paths, root / "out"
+
+    def test_matches_fit_command(self, panel):
+        # the library ladder on the same series writes what `fit` wrote
+        paths, out = panel
+        series = {str(p): read_price_csv(p) for p in paths}
+        scales = list(fit_ladder(series, self.LADDER))
+        rows = json.loads((out / "fits.json").read_text(encoding="utf-8"))
+        assert [asdict(fit) for _, fit in scales] == rows
+        for ccdf, fit in scales:
+            fitted = ccdf_abs(QGaussianParams(fit.q, fit.beta), ccdf.thresholds)
+            columns = zip(ccdf.thresholds, ccdf.probabilities, fitted)
+            printed = ["%.12g,%.12g,%.12g" % row for row in columns]
+            text = "\r\n".join(["x,ccdf_empirical,ccdf_fitted", *printed, ""])
+            assert (out / f"ccdf_dt{ccdf.dt}.csv").read_bytes() == text.encode()
+
+    def test_scales_in_ladder_order(self):
+        series = {"a": heavy_walk(3000, seed=0), "b": heavy_walk(2000, seed=1, gapped=True)}
+        scales = list(fit_ladder(series, (16, 1, 4)))
+        assert [(ccdf.dt, fit.dt) for ccdf, fit in scales] == [(16, 16), (1, 1), (4, 4)]
+        assert scales[1][1] == next(fit_ladder(series, (1,)))[1]
+
+    def test_series_too_short_names_key_and_dt(self):
+        # the scales before the failing one still come out
+        series = {"long": heavy_walk(3000, seed=0), "short": heavy_walk(10, seed=1)}
+        ladder = fit_ladder(series, (1, 16))
+        assert next(ladder)[1].dt == 1
+        with pytest.raises(ValueError, match=r"^short at dt=16: dt=16 must be smaller than "):
+            next(ladder)
+
+    def test_grid_past_data_names_pooled_scale(self):
+        series = {"a": heavy_walk(3000, seed=0), "b": heavy_walk(2000, seed=1)}
+        with pytest.raises(ValueError, match=r"^pooled returns at dt=4: grid maximum .* does not "):
+            list(fit_ladder(series, (4,), GridSpec(min=1e3)))
 
 
 class TestEstimateTailExponent:

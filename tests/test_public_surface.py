@@ -1,4 +1,4 @@
-"""The public names of qgfit: every `__all__` entry exists, and README's library example runs."""
+"""The public names of qgfit: every `__all__` entry exists, and README's library examples run."""
 
 import importlib
 import pkgutil
@@ -26,11 +26,15 @@ def test_all_entries_are_attributes(module):
 
 
 def test_readme_library_quick_start_runs(capsys):
+    # every python block of the section, each in a fresh namespace; the first fits one curve
     readme = README.read_text(encoding="utf-8")
-    section = readme.split("## Library quick start", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
-    exec(compile(code, "README.md", "exec"), {})
-    q, beta, converged = capsys.readouterr().out.split()
-    assert float(q) == pytest.approx(1.53, abs=0.02)
-    assert float(beta) == pytest.approx(1.78, rel=0.02)
-    assert converged == "True"
+    section = readme.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    assert len(blocks) >= 2
+    for i, code in enumerate(blocks, 1):
+        exec(compile(code, f"README.md, Library quick start block {i}", "exec"), {})
+        if i == 1:
+            q, beta, converged = capsys.readouterr().out.split()
+            assert float(q) == pytest.approx(1.53, abs=0.02)
+            assert float(beta) == pytest.approx(1.78, rel=0.02)
+            assert converged == "True"

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qgfit.estimation import load_scale_fits
+from qgfit.estimation import fit_ladder, load_scale_fits
 from qgfit.qgaussian import QGaussianParams, ccdf_abs, pdf, sample
 from qgfit.returns import (
     EmpiricalCCDF,
@@ -504,8 +504,7 @@ class TestEndToEnd:
         # out of the normalized returns exactly
         logw = np.cumsum(0.05 * draws)
         prices = series_from_values(100.0 * np.exp(logw - logw.max()))
-        normed = normalize(log_returns(prices, dt=1))
-        ccdf = empirical_ccdf(normed, dt=1, grid=GridSpec(min=0.05, max=20.0, count=25))
+        [(ccdf, _)] = fit_ladder({"walk": prices}, (1,), GridSpec(min=0.05, max=20.0, count=25))
         # normalized returns are the standardized draws, so the model is the
         # generator rescaled by the sample variance
         sd = float(np.std(draws))
