@@ -128,16 +128,14 @@ class PowerLawFit:
 
         A value past float64's range, to infinity or to 0, is a ValueError.
         """
-        values = []
-        for x in map(float, xs):
-            try:
-                value = self.amplitude * x**self.exponent
-            except OverflowError:  # Python's float power raises where numpy's gives inf
-                value = math.inf
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"the fitted line leaves float64's range at x={x!r}")
-            values.append(value)
-        return values
+        xs = np.asarray(xs, dtype=float)
+        with np.errstate(over="ignore", under="ignore"):
+            values = self.amplitude * xs**self.exponent
+        inside = (values > 0.0) & (values < np.inf)
+        if not inside.all():
+            x = float(xs[inside.argmin()])  # the first x outside
+            raise ValueError(f"the fitted line leaves float64's range at x={x!r}")
+        return values.tolist()
 
 
 @dataclass(frozen=True)

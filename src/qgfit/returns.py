@@ -183,9 +183,11 @@ def log_returns(series: PriceSeries, dt: int) -> np.ndarray:
     # only ticks up to int64 max - dt have a pair that int64 can hold
     target = ts[: np.searchsorted(ts, np.iinfo(np.int64).max - dt, side="right")] + dt
     idx = np.searchsorted(ts, target)
-    ok = idx < len(ts)
-    ok[ok] &= ts[idx[ok]] == target[ok]
-    return logw[idx[ok]] - logw[: len(target)][ok]
+    ok = ts.take(idx, mode="clip") == target  # past the end meets the last tick, which differs
+    del target
+    returns = logw[idx[ok]]
+    del idx  # not held while the second gather runs
+    return np.subtract(returns, logw[: len(ok)][ok], out=returns)
 
 
 def normalize(values: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for (q, beta) fitting, tail-exponent estimation, and scaling laws."""
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -259,6 +260,29 @@ class TestFitPowerLaw:
         assert fit.fitted([1.0]) == [1e300]
         with pytest.raises(ValueError, match=f"leaves float64's range at x={x!r}"):
             fit.fitted([1.0, x])
+
+    def test_line_past_float64_names_first_x_outside(self):
+        # 1e4 and 1e5 both overflow and 2.0 does not: the error names 1e4,
+        # neither the first x nor the largest
+        fit = PowerLawFit(exponent=80.0, amplitude=1.0, exponent_stderr=0.0, r_squared=1.0)
+        with pytest.raises(ValueError, match=r"leaves float64's range at x=10000\.0$"):
+            fit.fitted([1.0, 3.0, 1e4, 2.0, 1e5])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        st.floats(1e-100, 1e100),
+        st.floats(-10.0, 10.0),
+        st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12),
+    )
+    def test_fitted_matches_scalar_power_within_2_ulp(self, amplitude, exponent, xs):
+        # the line within 1e-130..1e130, far inside float64's range
+        fit = PowerLawFit(exponent, amplitude, exponent_stderr=0.0, r_squared=1.0)
+        values = fit.fitted(xs)
+        assert all(type(value) is float for value in values)
+        expected = [amplitude * x**exponent for x in xs]
+        assert len(values) == len(expected)
+        for value, reference in zip(values, expected):
+            assert abs(value - reference) <= 2 * math.ulp(reference)
 
     def test_amplitude_past_float64_is_rejected(self):
         # nearly equal x make the slope, and so the intercept, huge

@@ -818,6 +818,26 @@ def test_read_series_holds_16_bytes_per_row(tmp_path):
     assert held <= 16 * n + SERIES_FIXED_BYTES
 
 
+@pytest.mark.parametrize("dt", [1, 780])
+def test_gapped_log_returns_peak_26_bytes_per_tick(dt):
+    # the pair search on a gapped grid peaks at the paired ticks, their
+    # positions and the ticks found there (8 bytes each) and the 1-byte match
+    # mask; a second mask or a live position array while gathering is 35
+    n = 100_000
+    ticks = np.flatnonzero(np.arange(n + n // 1000) % 1001 != 1000)  # a hole every 1,000
+    series = PriceSeries(timestamps=ticks, prices=np.exp(np.sin(ticks)))
+    assert len(series) == n
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        returns = log_returns(series, dt)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(returns) == np.isin(ticks + dt, ticks).sum()
+    assert peak <= 26 * n + SERIES_FIXED_BYTES
+
+
 def test_read_unbroken_series_holds_8_bytes_per_row(tmp_path):
     # ticks t0, t0 + 1, ...: float64 log prices and the first tick only
     n = 100_000
