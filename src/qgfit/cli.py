@@ -23,6 +23,7 @@ import numpy as np
 from .datasets import DEFAULT_DT_LADDER, TABLE1_ROWS
 from .estimation import (
     _MIN_FIT_POINTS,
+    _SCALING_LAWS,
     ScaleFitResult,
     fit_ladder,
     load_scale_fits,
@@ -361,30 +362,18 @@ def cmd_scaling(args: argparse.Namespace, stage: Path) -> str:
         report = scaling_report(fits)
     except ValueError as exc:  # too few scales, or one q at every scale
         raise ValueError(f"{args.fits}: {exc}") from exc
-    columns = {
-        "dt": [float(f.dt) for f in fits],
-        "q_minus_1": [f.q - 1.0 for f in fits],
-        "inv_beta": [1.0 / f.beta for f in fits],
-    }
-    # (key in scaling.json, plot file, regression, x column, y column)
-    regressions = (
-        ("tau_fit", "scaling_q_vs_dt", report.tau_fit, "dt", "q_minus_1"),
-        ("gamma_fit", "scaling_invbeta_vs_dt", report.gamma_fit, "dt", "inv_beta"),
-        ("delta_fit", "scaling_invbeta_vs_q", report.delta_fit, "q_minus_1", "inv_beta"),
-    )
-    payload = {
-        key: {
+    payload = {}
+    for key, _, plot, x, y in _SCALING_LAWS:
+        p, xs, ys = getattr(report, key), report.columns[x], report.columns[y]
+        payload[key] = {
             "exponent": p.exponent,
             "amplitude": p.amplitude,
             "stderr": p.exponent_stderr,
             "r_squared": p.r_squared,
         }
-        for key, _, p, _, _ in regressions
-    }
+        # the line is in range at xs: the report checked
+        _write_rows(stage / f"{plot}.csv", [x, y, "fitted"], "%r,%r,%r", xs, ys, p.fitted(xs))
     _write_json(stage / "scaling.json", payload)
-    for _, name, p, x, y in regressions:
-        xs, fitted = columns[x], p.fitted(columns[x])  # in range: the report checked
-        _write_rows(stage / f"{name}.csv", [x, y, "fitted"], "%r,%r,%r", xs, columns[y], fitted)
     return f"wrote scaling report to {args.out}"
 
 

@@ -16,7 +16,7 @@ import math
 import sys
 import typing
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -126,9 +126,13 @@ class PowerLawFit:
     def fitted(self, xs) -> list[float]:
         """The line amplitude * x^exponent at each x, as Python floats.
 
-        A value past float64's range, to infinity or to 0, is a ValueError.
+        Its domain is x > 0: an x that is 0, negative or NaN is a ValueError,
+        as is a value past float64's range, to infinity or to 0.
         """
         xs = np.asarray(xs, dtype=float)
+        positive = xs > 0.0  # False at NaN
+        if not positive.all():
+            raise ValueError(f"the fitted line needs x > 0, got x={float(xs[positive.argmin()])!r}")
         with np.errstate(over="ignore", under="ignore"):
             values = self.amplitude * xs**self.exponent
         inside = (values > 0.0) & (values < np.inf)
@@ -140,11 +144,21 @@ class PowerLawFit:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """The three scaling regressions across time scales."""
+    """The three scaling regressions across time scales, and the columns they regressed."""
 
     tau_fit: PowerLawFit  # q - 1 against dt
     gamma_fit: PowerLawFit  # 1/beta against dt
     delta_fit: PowerLawFit  # 1/beta against q - 1
+    # dt, q_minus_1 and inv_beta as Python floats, one per fit in input order
+    columns: dict[str, list[float]] = field(default_factory=dict, compare=False, repr=False)
+
+
+# Each law in report order: ScalingReport field, error-message name, plot file, x and y columns.
+_SCALING_LAWS = (
+    ("tau_fit", "q - 1 against dt (tau)", "scaling_q_vs_dt", "dt", "q_minus_1"),
+    ("gamma_fit", "1/beta against dt (gamma)", "scaling_invbeta_vs_dt", "dt", "inv_beta"),
+    ("delta_fit", "1/beta against q - 1 (delta)", "scaling_invbeta_vs_q", "q_minus_1", "inv_beta"),
+)
 
 
 def fit_qgaussian_ccdf(ccdf: EmpiricalCCDF) -> ScaleFitResult:
@@ -301,30 +315,27 @@ def fit_power_law(xs, ys) -> PowerLawFit:
 
 
 def scaling_report(fits: list[ScaleFitResult]) -> ScalingReport:
-    """Regress the fitted parameters against the time scale.
+    """Regress dt, q - 1 and 1/beta by the laws `ScalingReport` lists, keeping those columns.
 
-    tau: q - 1 against dt; gamma: 1/beta against dt; delta: 1/beta against
-    q - 1.  Needs at least three distinct time scales and two distinct q.  A
+    Needs at least three distinct time scales and two distinct q.  A
     regression whose line leaves float64's range is a ValueError naming it.
     """
     if len({f.dt for f in fits}) < 3:
         raise ValueError("need fits at 3 or more distinct time scales")
-    if len({f.q for f in fits}) < 2:
-        raise ValueError("q is the same at every scale: 1/beta against q - 1 (delta) is undefined")
-    dts = np.array([f.dt for f in fits], dtype=float)
-    q_excess = np.array([f.q - 1.0 for f in fits])
-    inv_beta = np.array([1.0 / f.beta for f in fits])
+    if len({f.q for f in fits}) < 2:  # the last law, whose x is q - 1, is undefined
+        raise ValueError(f"q is the same at every scale: {_SCALING_LAWS[-1][1]} is undefined")
+    columns = {
+        "dt": [float(f.dt) for f in fits],
+        "q_minus_1": [f.q - 1.0 for f in fits],
+        "inv_beta": [1.0 / f.beta for f in fits],
+    }
     regressions = {}
-    for key, name, xs, ys in (
-        ("tau_fit", "q - 1 against dt (tau)", dts, q_excess),
-        ("gamma_fit", "1/beta against dt (gamma)", dts, inv_beta),
-        ("delta_fit", "1/beta against q - 1 (delta)", q_excess, inv_beta),
-    ):
+    for key, name, _, x, y in _SCALING_LAWS:
         try:
-            regressions[key] = fit_power_law(xs, ys)
+            regressions[key] = fit_power_law(columns[x], columns[y])
         except ValueError as exc:  # a line past float64's range
             raise ValueError(f"{name}: {exc}") from exc
-    return ScalingReport(**regressions)
+    return ScalingReport(**regressions, columns=columns)
 
 
 def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:

@@ -6,6 +6,7 @@ Commands run in this process through `cli.main`; a few cases run
 
 import builtins
 import csv
+import dataclasses
 import errno
 import io
 import itertools
@@ -18,6 +19,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import typing
 import warnings
 from pathlib import Path
 
@@ -552,6 +554,60 @@ class TestScaling:
             rows = read_csv_rows(out / f"{name}.csv")
             assert len(rows) == 9
             assert "fitted" in rows[0]
+
+    # Each law's scaling.json key, plot file and plot header, as README lists them.
+    PLOTS = {
+        "tau_fit": ("scaling_q_vs_dt", ["dt", "q_minus_1", "fitted"]),
+        "gamma_fit": ("scaling_invbeta_vs_dt", ["dt", "inv_beta", "fitted"]),
+        "delta_fit": ("scaling_invbeta_vs_q", ["q_minus_1", "inv_beta", "fitted"]),
+    }
+
+    def test_laws_table_matches_report(self):
+        hints = typing.get_type_hints(estimation.ScalingReport)
+        report_fits = [
+            f.name
+            for f in dataclasses.fields(estimation.ScalingReport)
+            if hints[f.name] is estimation.PowerLawFit
+        ]
+        assert [law[0] for law in estimation._SCALING_LAWS] == report_fits == list(self.PLOTS)
+
+    @pytest.mark.parametrize("source", ["table1", "fits_json"])
+    def test_plots_hold_the_regressed_columns(self, tmp_path, source):
+        if source == "table1":
+            run("table1", "--out", tmp_path / "t1")
+            fits_path = tmp_path / "t1" / "table1.csv"
+        else:
+            run("synth", "--q", 1.5, "--beta", 1, "--n", 20000, "--seed", 3, "--out", tmp_path)
+            fits_dir = tmp_path / "fits"
+            status = run(
+                "fit", "--input", tmp_path / "synth.csv", "--dt", "4,8,16,30", "--out", fits_dir
+            )
+            assert status == 0
+            fits_path = fits_dir / "fits.json"
+        out = tmp_path / "sc"
+        assert run("scaling", "--fits", fits_path, "--out", out) == 0
+        report = json.loads((out / "scaling.json").read_text())
+        assert list(report) == list(self.PLOTS)
+        fits = estimation.load_scale_fits(fits_path)
+        expected = {
+            "dt": [float(f.dt) for f in fits],
+            "q_minus_1": [f.q - 1.0 for f in fits],
+            "inv_beta": [1.0 / f.beta for f in fits],
+        }
+        for key, (name, header) in self.PLOTS.items():
+            with open(out / f"{name}.csv", newline="", encoding="utf-8") as fh:
+                lines = list(csv.reader(fh))
+            assert lines[0] == header
+            x, y, fitted = ([float(v) for v in column] for column in zip(*lines[1:]))
+            assert (x, y) == (expected[header[0]], expected[header[1]])
+            line = estimation.fit_power_law(x, y)
+            assert report[key] == {
+                "exponent": line.exponent,
+                "amplitude": line.amplitude,
+                "stderr": line.exponent_stderr,
+                "r_squared": line.r_squared,
+            }
+            assert fitted == line.fitted(x)
 
     def test_two_rows_rejected(self, tmp_path):
         path = tmp_path / "two.csv"

@@ -14,6 +14,7 @@ from qgfit.datasets import TABLE1_ROWS
 from qgfit.estimation import (
     PowerLawFit,
     ScaleFitResult,
+    ScalingReport,
     estimate_tail_exponent,
     fit_ladder,
     fit_power_law,
@@ -253,9 +254,13 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law([1.0, 2.0], [1.0, 2.0])
 
-    @pytest.mark.parametrize("x, exponent", [(10.0, 400.0), (10.0, -400.0), (1e9, 2.0)])
+    @pytest.mark.parametrize(
+        "x, exponent",
+        [(10.0, 400.0), (10.0, -400.0), (1e9, 2.0), (math.inf, 2.0), (math.inf, -0.5)],
+    )
     def test_line_past_float64_is_rejected(self, x, exponent):
-        # x^exponent overflows, underflows to 0, or overflows with the amplitude
+        # x^exponent overflows, underflows to 0, or overflows with the amplitude;
+        # inf lies in the line's domain, and its line goes to inf or to 0
         fit = PowerLawFit(exponent=exponent, amplitude=1e300, exponent_stderr=0.0, r_squared=1.0)
         assert fit.fitted([1.0]) == [1e300]
         with pytest.raises(ValueError, match=f"leaves float64's range at x={x!r}"):
@@ -267,6 +272,20 @@ class TestFitPowerLaw:
         fit = PowerLawFit(exponent=80.0, amplitude=1.0, exponent_stderr=0.0, r_squared=1.0)
         with pytest.raises(ValueError, match=r"leaves float64's range at x=10000\.0$"):
             fit.fitted([1.0, 3.0, 1e4, 2.0, 1e5])
+
+    @pytest.mark.parametrize("exponent", [-0.5, 2.0])
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+    def test_line_outside_domain_names_x(self, x, exponent):
+        # checked before any power is taken: no warning, and not blamed on float64's range
+        fit = PowerLawFit(exponent=exponent, amplitude=2.0, exponent_stderr=0.0, r_squared=1.0)
+        with pytest.raises(ValueError, match=rf"^the fitted line needs x > 0, got x={x!r}$"):
+            fit.fitted([x])
+
+    def test_line_outside_domain_names_first_x_outside(self):
+        # -2.0 and nan are both outside and 1.0 is not: the error names -2.0
+        fit = PowerLawFit(exponent=2.0, amplitude=2.0, exponent_stderr=0.0, r_squared=1.0)
+        with pytest.raises(ValueError, match=r"^the fitted line needs x > 0, got x=-2\.0$"):
+            fit.fitted([1.0, 3.0, -2.0, 1.0, math.nan, 0.0])
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(
@@ -327,6 +346,18 @@ class TestScalingReport:
     def test_needs_three_scales(self):
         with pytest.raises(ValueError):
             scaling_report(TABLE1_FITS[:2])
+
+    def test_carries_the_columns_it_regressed(self):
+        report = scaling_report(TABLE1_FITS)
+        assert report.columns == {
+            "dt": [float(dt) for dt, _, _ in TABLE1_ROWS],
+            "q_minus_1": [q - 1.0 for _, q, _ in TABLE1_ROWS],
+            "inv_beta": [1.0 / beta for _, _, beta in TABLE1_ROWS],
+        }
+        assert report.tau_fit == fit_power_law(report.columns["dt"], report.columns["q_minus_1"])
+        # the columns take no part in equality or repr
+        assert report == ScalingReport(report.tau_fit, report.gamma_fit, report.delta_fit)
+        assert "columns" not in repr(report)
 
 
 class TestMonotonicityReproduction:
