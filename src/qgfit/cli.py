@@ -32,6 +32,7 @@ from .estimation import (
 from .qgaussian import QGaussianParams, ccdf_abs, pdf, sample
 from .returns import (
     GridSpec,
+    _naming,
     _reading,
     numerical_pdf,
     read_ccdf_csv,
@@ -181,7 +182,11 @@ _FLAGS = (
     (
         "--ccdf",
         "pdfplot",
-        dict(type=Path, required=True, help="CSV with columns x and ccdf (or ccdf_empirical)"),
+        dict(
+            type=Path,
+            required=True,
+            help="CSV with columns x and ccdf (or ccdf_empirical), or a JSON curve of fit",
+        ),
     ),
     ("--q", "synth pdfplot", dict(type=float, required=True, help="entropic index, 1 < q < 3")),
     ("--beta", "synth pdfplot", dict(type=float, required=True, help="width, 0 < beta < inf")),
@@ -227,11 +232,8 @@ def _parse_config_file(path: str, command: str) -> dict[str, object]:
         if command in readers.split() and not settings.get("required")
     }
     values: dict[str, object] = {}
-    try:
-        with _reading(path) as fh:
-            text = fh.read()
-    except ValueError as exc:  # not opened, not read, or not UTF-8
-        raise UsageError(f"{path}: {exc}") from exc
+    with _naming(path, UsageError), _reading(path) as fh:  # not opened, not read, or not UTF-8
+        text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -270,7 +272,10 @@ def _output_dir(out: Path):
     """
     existing = next((p for p in (out, *out.parents) if p.exists()), out)
     try:
-        stage = Path(tempfile.mkdtemp(prefix=".qgfit-", dir=existing))
+        try:
+            stage = Path(tempfile.mkdtemp(prefix=".qgfit-", dir=existing))
+        except OSError as exc:  # named by the path that exists, not by the stage's random name
+            raise OSError(exc.errno, exc.strerror, str(existing)) from exc
         try:
             yield stage
             out.mkdir(parents=True, exist_ok=True)
@@ -319,10 +324,8 @@ def _write_fit_curve(stage: Path, fmt: str, ccdf, fitted: ScaleFitResult) -> Non
 
 
 def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
-    try:
+    with _naming(None, UsageError):
         grid = GridSpec(min=args.grid_min, max=args.grid_max, count=args.grid_count)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     try:
         np.empty(grid.count)  # as synth checks --n, before any input is read
     except (MemoryError, ValueError) as exc:  # numpy: no memory, or past the address space
@@ -358,10 +361,8 @@ def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
 
 def cmd_scaling(args: argparse.Namespace, stage: Path) -> str:
     fits = load_scale_fits(args.fits)
-    try:
+    with _naming(args.fits):  # too few scales, or one q at every scale
         report = scaling_report(fits)
-    except ValueError as exc:  # too few scales, or one q at every scale
-        raise ValueError(f"{args.fits}: {exc}") from exc
     payload = {}
     for key, _, plot, x, y in _SCALING_LAWS:
         p, xs, ys = getattr(report, key), report.columns[x], report.columns[y]
@@ -384,10 +385,8 @@ def cmd_table1(args: argparse.Namespace, stage: Path) -> str:
 
 def _flag_params(args: argparse.Namespace) -> QGaussianParams:
     """The model of --q and --beta; a value out of range is a UsageError."""
-    try:
+    with _naming(None, UsageError):
         return QGaussianParams(args.q, args.beta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def cmd_synth(args: argparse.Namespace, stage: Path) -> str:
@@ -449,10 +448,8 @@ def cmd_synth(args: argparse.Namespace, stage: Path) -> str:
 def cmd_pdfplot(args: argparse.Namespace, stage: Path) -> str:
     params = _flag_params(args)
     ccdf = read_ccdf_csv(args.ccdf)
-    try:
+    with _naming(args.ccdf):  # too few points
         xs, numeric = numerical_pdf(ccdf)
-    except ValueError as exc:  # too few points
-        raise ValueError(f"{args.ccdf}: {exc}") from exc
     model = 2.0 * pdf(params, xs)  # folded density of |r|
     header = ["x", "pdf_numeric", "pdf_model"]
     _write_rows(stage / "pdfplot.csv", header, "%.12g,%.12g,%.12g", xs, numeric, model)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import typing
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import MISSING, dataclass, field, fields
@@ -27,6 +26,8 @@ from .returns import (
     EmpiricalCCDF,
     GridSpec,
     PriceSeries,
+    _check_json_number,
+    _naming,
     _read_csv_columns,
     _reading,
     empirical_ccdf,
@@ -216,19 +217,17 @@ def fit_ladder(
     for dt in ladder:
         batches = []
         for name, s in series.items():
-            try:  # a series too short for dt, or constant over it
+            with _naming(f"{name} at dt={dt}"):  # a series too short for dt, or constant over it
                 batches.append(normalize(log_returns(s, dt)))
-            except ValueError as exc:
-                raise ValueError(f"{name} at dt={dt}: {exc}") from exc
         pooled = pool(batches)
         del batches  # pool copies several batches: these are not held while the scale is fitted
         n_pooled = len(pooled)
         try:  # besides one copy of |pooled|, this scale's arrays hold grid.count points
-            ccdf = empirical_ccdf(pooled, dt, grid)
-            del pooled  # not held while this scale is fitted and the next one built
-            fit = fit_qgaussian_ccdf(ccdf)
-        except ValueError as exc:  # a grid past the data, or too few points left on it
-            raise ValueError(f"pooled returns at dt={dt}: {exc}") from exc
+            # a grid past the data, or too few points left on it
+            with _naming(f"pooled returns at dt={dt}"):
+                ccdf = empirical_ccdf(pooled, dt, grid)
+                del pooled  # not held while this scale is fitted and the next one built
+                fit = fit_qgaussian_ccdf(ccdf)
         except MemoryError as exc:
             raise MemoryError(
                 f"pooled returns at dt={dt}: {n_pooled} returns on a {grid.count}-point grid: {exc}"
@@ -331,10 +330,8 @@ def scaling_report(fits: list[ScaleFitResult]) -> ScalingReport:
     }
     regressions = {}
     for key, name, _, x, y in _SCALING_LAWS:
-        try:
+        with _naming(name):  # a line past float64's range
             regressions[key] = fit_power_law(columns[x], columns[y])
-        except ValueError as exc:  # a line past float64's range
-            raise ValueError(f"{name}: {exc}") from exc
     return ScalingReport(**regressions, columns=columns)
 
 
@@ -351,7 +348,7 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
     also names that fit, counted from 1.
     """
     path = Path(path)
-    try:
+    with _naming(f"cannot parse fits file {path}"):
         if path.suffix.lower() == ".json":
             with _reading(path) as fh:
                 rows = json.load(fh)
@@ -362,13 +359,9 @@ def load_scale_fits(path: str | Path) -> list[ScaleFitResult]:
             rows = _read_csv_columns(path, columns).tolist()  # tuples of dt, q, beta
         fits = []
         for i, row in enumerate(rows, 1):
-            try:
+            with _naming(f"fit {i}"):
                 fits.append(_json_fit(row) if isinstance(row, dict) else ScaleFitResult(*row))
-            except ValueError as exc:
-                raise ValueError(f"fit {i}: {exc}") from exc
         return fits
-    except ValueError as exc:
-        raise ValueError(f"cannot parse fits file {path}: {exc}") from exc
 
 
 def _json_fit(row: dict) -> ScaleFitResult:
@@ -380,16 +373,10 @@ def _json_fit(row: dict) -> ScaleFitResult:
         if name not in row:
             continue
         value = row[name]
-        if cast is bool:
-            if not isinstance(value, bool):
-                raise ValueError(f"{name} must be true or false, got {value!r}")
-            continue
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not number or (cast is int and isinstance(value, float) and not value.is_integer()):
-            kind = "an integer" if cast is int else "a number"
-            raise ValueError(f"{name} must be {kind}, got {value!r}")
-        if isinstance(value, int) and abs(value) > sys.float_info.max:  # float() overflows
-            raise ValueError(f"{name} must be a number, got an integer past float range")
+        if cast is not bool:
+            _check_json_number(name, value, whole=cast is int)
+        elif not isinstance(value, bool):
+            raise ValueError(f"{name} must be true or false, got {value!r}")
     return ScaleFitResult(
         **{key: cast(row[key]) for key, cast in _FIELD_TYPES.items() if key in row}
     )

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import re
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass
@@ -295,6 +297,15 @@ def _reading(path: str | Path):
             raise ValueError(f"cannot read: {exc.strerror or exc}") from exc
 
 
+@contextmanager
+def _naming(prefix: str | Path | None, error: type[Exception] = ValueError):
+    """A ValueError raised in the block becomes `error` from it, named `prefix: ` if given."""
+    try:
+        yield
+    except ValueError as exc:
+        raise error(str(exc) if prefix is None else f"{prefix}: {exc}") from exc
+
+
 def _read_csv_columns(
     path: Path, columns: dict[str, type], fallback: dict[str, str] | None = None
 ) -> np.ndarray:
@@ -375,22 +386,44 @@ def _undecodable_line(binary) -> int | str:
 def read_price_csv(path: str | Path) -> PriceSeries:
     """Parse an instrument CSV with columns `timestamp` (integer ticks) and `price`."""
     path = Path(path)
-    try:
+    with _naming(path):
         rows = _read_csv_columns(path, {"timestamp": np.int64, "price": float})
         return PriceSeries(timestamps=rows["timestamp"], prices=rows["price"])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_ccdf_csv(path: str | Path) -> EmpiricalCCDF:
     """Parse an exceedance curve: columns `x` and `ccdf` (or `ccdf_empirical`).
 
-    Reads the curve files that `fit` writes too.  The file holds no time
-    scale or sample count, so the result has dt 1 and n_samples 0.
+    Reads the curve files that `fit` writes too: a name ending in `.json`
+    is one object whose lists `x` and `ccdf_empirical` hold JSON numbers.
+    Neither format's time scale or sample count is read, so the result has
+    dt 1 and n_samples 0.
     """
     path = Path(path)
-    try:
-        rows = _read_csv_columns(path, {"x": float, "ccdf": float}, {"ccdf": "ccdf_empirical"})
-        return EmpiricalCCDF(dt=1, thresholds=rows["x"], probabilities=rows["ccdf"], n_samples=0)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    with _naming(path):
+        if path.suffix.lower() == ".json":
+            with _reading(path) as fh:
+                curve = json.load(fh)
+            keys = ("x", "ccdf_empirical")  # as `fit --format json` writes them
+            x, ccdf = (curve.get(key) if isinstance(curve, dict) else None for key in keys)
+            if not (isinstance(x, list) and isinstance(ccdf, list)):
+                raise ValueError("expected a JSON object with lists x and ccdf_empirical")
+            for key, column in zip(keys, (x, ccdf)):
+                for i, value in enumerate(column):
+                    _check_json_number(f"{key}[{i}]", value)
+        else:
+            rows = _read_csv_columns(path, {"x": float, "ccdf": float}, {"ccdf": "ccdf_empirical"})
+            x, ccdf = rows["x"], rows["ccdf"]
+        return EmpiricalCCDF(dt=1, thresholds=x, probabilities=ccdf, n_samples=0)
+
+
+def _check_json_number(name: str, value, whole: bool = False) -> None:
+    """A ValueError naming `name` unless JSON `value` is a number in float range, whole if asked.
+
+    A bool, a string and null are not numbers.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or (whole and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be {'an integer' if whole else 'a number'}, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:  # float() overflows
+        raise ValueError(f"{name} must be a number, got an integer past float range")

@@ -246,7 +246,12 @@ class TestSynth:
 
         monkeypatch.setattr(cli, "sample", unexpected)
         assert run("synth", "--q", 1.5, "--beta", 1, "--n", 100, "--out", out) == 1
-        assert str(out) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == (
+            f"qgfit: usage error: cannot write output under {out}: "
+            f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: {str(blocker)!r}\n"
+        )
+        assert ".qgfit-" not in err  # the stage directory's random name
 
     def test_n_too_small(self, tmp_path):
         assert run("synth", "--q", 1.5, "--beta", 1, "--n", 1, "--out", tmp_path / "o") == 1
@@ -782,6 +787,73 @@ class TestPdfPlot:
         )
         assert status == 0
         assert (out / "pdfplot.csv").is_file()
+
+    def test_json_curve_matches_csv_curve(self, tmp_path):
+        # `fit --format json` writes the curve in full float64, `--format csv` in %.12g
+        gen = tmp_path / "gen"
+        assert run("synth", "--q", 1.5, "--beta", 1, "--n", 20000, "--seed", 2, "--out", gen) == 0
+        plots = {}
+        for fmt in ("csv", "json"):
+            fits = tmp_path / f"fits_{fmt}"
+            argv = ["--input", gen / "synth.csv", "--dt", 1, "--format", fmt, "--out", fits]
+            assert run("fit", *argv) == 0
+            out = tmp_path / f"plot_{fmt}"
+            curve = fits / f"ccdf_dt1.{fmt}"
+            assert run("pdfplot", "--ccdf", curve, "--q", 1.5, "--beta", 1, "--out", out) == 0
+            rows = read_csv_rows(out / "pdfplot.csv")
+            plots[fmt] = {key: np.array([float(r[key]) for r in rows]) for key in rows[0]}
+        curve = json.loads((tmp_path / "fits_json" / "ccdf_dt1.json").read_text())
+        x, p = np.array(curve["x"]), np.array(curve["ccdf_empirical"])
+        # %.12g moves each CSV value by at most 5e-12 relative, so the density
+        # (p[i] - p[i+1]) / (x[i+1] - x[i]) moves by at most the bound below,
+        # and each pdfplot.csv value is rounded to %.12g once more (1e-11 a pair).
+        # x and pdf_model, at the geometric midpoints, move by less than 1e-10.
+        bound = {
+            "x": 1e-10,
+            "pdf_numeric": 5e-12 * ((p[:-1] + p[1:]) / (p[:-1] - p[1:]))
+            + 5e-12 * (x[:-1] + x[1:]) / (x[1:] - x[:-1])
+            + 1e-11,
+            "pdf_model": 1e-10,
+        }
+        for key, tolerance in bound.items():
+            got, want = plots["json"][key], plots["csv"][key]
+            assert len(got) == len(want) == len(x) - 1
+            assert np.all(np.abs(got - want) <= tolerance * np.abs(got)), key
+        assert not np.array_equal(plots["json"]["pdf_numeric"], plots["csv"]["pdf_numeric"])
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ('{"ccdf_empirical": [0.8, 0.5, 0.2]}',
+             "expected a JSON object with lists x and ccdf_empirical"),
+            ('{"x": [0.5, 1, 2], "ccdf": [0.8, 0.5, 0.2]}',
+             "expected a JSON object with lists x and ccdf_empirical"),
+            ('[[0.5, 0.8], [1, 0.5], [2, 0.2]]',
+             "expected a JSON object with lists x and ccdf_empirical"),
+            ('{"x": ["0.5", 1, 2], "ccdf_empirical": [0.8, 0.5, 0.2]}',
+             "x[0] must be a number, got '0.5'"),
+            ('{"x": [0.5, 1, 2], "ccdf_empirical": [0.8, true, 0.2]}',
+             "ccdf_empirical[1] must be a number, got True"),
+            ('{"x": [0.5, 1, 2], "ccdf_empirical": [0.8, 0.5, null]}',
+             "ccdf_empirical[2] must be a number, got None"),
+            ('{"x": [0.5, 1, 1' + "0" * 400 + '], "ccdf_empirical": [0.8, 0.5, 0.2]}',
+             "x[2] must be a number, got an integer past float range"),
+            ('{"x": [0.5, 1, 2], "ccdf_empirical": [0.8, 0.5, NaN]}',
+             "thresholds and probabilities must be finite"),
+            ('{"x": [0.5, 1, 2], ', "Expecting property name enclosed in double quotes"),
+        ],
+        ids=["no_x", "ccdf_key", "not_object", "string", "bool", "null", "huge_int", "nan",
+             "truncated"],
+    )
+    def test_bad_json_curve_is_data_error_naming_file(self, tmp_path, capsys, text, detail):
+        path = tmp_path / "curve.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert run("pdfplot", "--ccdf", path, "--q", 1.5, "--beta", 1, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qgfit: data error: {path}: {detail}")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestConfigPrecedence:
@@ -1335,7 +1407,10 @@ class TestBadInputExitCodes:
         # the bad --out is reported before any input is parsed
         monkeypatch.setattr(cli, "read_price_csv", unexpected)
         assert cli.main(["fit", "--input", str(path), "--dt", "1", "--out", str(out)]) == 1
-        assert str(out) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"cannot write output under {out}: " in err
+        assert err.endswith(f"{os.strerror(errno.ENOTDIR)}: {str(path)!r}\n")
+        assert ".qgfit-" not in err
 
     @pytest.mark.parametrize("command", ["table1", "scaling", "pdfplot"])
     def test_out_under_regular_file_is_usage_error_before_input(
@@ -1353,15 +1428,19 @@ class TestBadInputExitCodes:
 
         for name in ("load_scale_fits", "read_ccdf_csv", "_write_rows"):
             monkeypatch.setattr(cli, name, unexpected)
-        assert run(command, *own, "--out", out) == 1
-        assert str(out) in capsys.readouterr().err
+        for target in (out, out.parent, out / "deeper"):
+            assert run(command, *own, "--out", target) == 1
+            err = capsys.readouterr().err
+            assert f"cannot write output under {target}: " in err
+            assert err.endswith(f"{os.strerror(errno.ENOTDIR)}: {str(out.parent)!r}\n")
+            assert ".qgfit-" not in err
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     @pytest.mark.parametrize(
         "flag, name",
         [("--input", "prices.csv"), ("--fits", "fits.csv"), ("--fits", "fits.json"),
-         ("--ccdf", "curve.csv")],
-        ids=["input", "fits_csv", "fits_json", "ccdf"],
+         ("--ccdf", "curve.csv"), ("--ccdf", "curve.json")],
+        ids=["input", "fits_csv", "fits_json", "ccdf", "ccdf_json"],
     )
     def test_unopenable_input_is_data_error(self, tmp_path, capsys, kind, flag, name):
         path = tmp_path / name
@@ -1386,8 +1465,9 @@ class TestBadInputExitCodes:
             ("--fits", "fits.csv", "dt,q,beta\n4,1.5,1.7\n8,1.49,1.6\n16,1.45,1.5\n"),
             ("--fits", "fits.json", '[\n{"dt": 4, "q": 1.5, "beta": 1.7}\n]\n'),
             ("--ccdf", "curve.csv", "x,ccdf\n0.5,0.8\n1.0,0.5\n2.0,0.2\n"),
+            ("--ccdf", "curve.json", '{\n"x": [0.5, 1, 2],\n"ccdf_empirical": [0.8, 0.5, 0.2]}\n'),
         ],
-        ids=["input", "input_gz_name", "fits_csv", "fits_json", "ccdf"],
+        ids=["input", "input_gz_name", "fits_csv", "fits_json", "ccdf", "ccdf_json"],
     )
     def test_read_fault_is_data_error(self, tmp_path, capsys, monkeypatch, flag, name, text):
         # the file opens, but a read fails partway: not an output error

@@ -1,5 +1,6 @@
 """Tests for (q, beta) fitting, tail-exponent estimation, and scaling laws."""
 
+import itertools
 import json
 import math
 from dataclasses import asdict
@@ -123,6 +124,65 @@ class TestFitQGaussianCcdf:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_qgaussian_ccdf(model_ccdf(1.5, 1.0, n=5))
+
+
+def least_squares_residual(ccdf):
+    """Sum of squared log10 residuals at scipy's TRF optimum, from the fit's start in its box."""
+    from scipy.optimize import least_squares
+
+    xs, target = ccdf.thresholds, np.log10(ccdf.probabilities)
+
+    def residuals(p):
+        model = ccdf_abs(QGaussianParams(p[0], 10.0 ** p[1]), xs)
+        return np.log10(np.maximum(model, estimation._LOG_FLOOR)) - target
+
+    box = np.array([estimation.Q_BOUNDS, np.log10(estimation.BETA_BOUNDS)]).T
+    start = [estimation._start_q(ccdf), 0.0]
+    tight = dict(ftol=1e-15, xtol=1e-15, gtol=1e-15)
+    result = least_squares(residuals, start, bounds=tuple(box), method="trf", **tight)
+    return float(result.fun @ result.fun)
+
+
+class TestFitReachesLeastSquaresOptimum:
+    """The fit's residual against scipy's TRF `least_squares` on the same problem.
+
+    A bar for any replacement solver as well as for today's L-BFGS-B.
+    """
+
+    @pytest.mark.parametrize("seed, q", list(enumerate(np.linspace(1.10, 1.98, 12).tolist())))
+    def test_noisy_curve_within_1e6_relative(self, seed, q):
+        # measured: at most 2.6e-10 relative above the reference
+        draws = sample(QGaussianParams(q, 1.0), 20_000, seed=seed)
+        ccdf = empirical_ccdf(draws, dt=1)
+        reference = least_squares_residual(ccdf)
+        assert reference > 0.0
+        assert fit_qgaussian_ccdf(ccdf).residual <= (1.0 + 1e-6) * reference
+
+    # A noiseless curve's optimum is 0 up to rounding (TRF reaches 1e-28 here),
+    # so no ratio applies.  L-BFGS-B stops once its projected gradient is below
+    # gtol, 1e-5, or a step gains less than ftol, 1e-12 in absolute terms below
+    # 1; the bar is a hundred times ftol.
+    @pytest.mark.parametrize(
+        "q, beta",
+        [
+            *itertools.product([1.2, 1.5, 1.8, 2.2], [0.5, 1.0, 2.0]),
+            (2.9, 10.0),
+            (2.9, 100.0),
+            (1.02, 0.01),
+            pytest.param(
+                1.02, 100.0,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="on this curve, which falls to 1e-214, a step gains less than "
+                    "ftol at a residual of 1.0e-7, with q 2e-8 off and a q gradient of 1e-2",
+                ),
+            ),
+        ],
+    )
+    def test_noiseless_curve_within_1e10(self, q, beta):
+        ccdf = model_ccdf(q, beta)
+        assert least_squares_residual(ccdf) <= 1e-20
+        assert fit_qgaussian_ccdf(ccdf).residual <= 1e-10
 
 
 def heavy_walk(n, seed, gapped=False):
