@@ -52,6 +52,8 @@ _MAX_LOG_PRICE_HALF_RANGE = 600.0
 _CSV_BLOCK_ROWS = 4096
 # Increments summed at once while `synth` finds its walk's range.
 _WALK_BLOCK = 65536
+# What numpy raises for an array past memory, or past the address space.
+_NO_ROOM = (MemoryError, ValueError)
 
 
 class UsageError(Exception):
@@ -115,10 +117,9 @@ class _Once(argparse.Action):
 
 def _dt_ladder(text: str) -> tuple[int, ...]:
     """Type of --dt: comma-separated ticks, at least 1 and strictly increasing; none is empty."""
-    try:
+    # an empty item too: int("") fails
+    with _naming("expects a comma-separated integer list", argparse.ArgumentTypeError):
         ladder = tuple(map(int, text.split(",")))
-    except ValueError as exc:  # an empty item too: int("") fails
-        raise argparse.ArgumentTypeError(f"expects a comma-separated integer list: {exc}") from exc
     if not all(a < b for a, b in zip(ladder, ladder[1:])):
         raise argparse.ArgumentTypeError("values must be strictly increasing")
     if ladder[0] < 1:
@@ -271,7 +272,7 @@ def _output_dir(out: Path):
     It is always removed.  An OSError is a UsageError: readers raise ValueError.
     """
     existing = next((p for p in (out, *out.parents) if p.exists()), out)
-    try:
+    with _naming(f"cannot write output under {out}", UsageError, OSError):
         try:
             stage = Path(tempfile.mkdtemp(prefix=".qgfit-", dir=existing))
         except OSError as exc:  # named by the path that exists, not by the stage's random name
@@ -283,8 +284,6 @@ def _output_dir(out: Path):
                 os.replace(path, out / path.name)
         finally:
             shutil.rmtree(stage, ignore_errors=True)
-    except OSError as exc:
-        raise UsageError(f"cannot write output under {out}: {exc}") from exc
 
 
 def _write_rows(path: Path, header: list[str], row_format: str, *columns) -> None:
@@ -326,10 +325,9 @@ def _write_fit_curve(stage: Path, fmt: str, ccdf, fitted: ScaleFitResult) -> Non
 def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
     with _naming(None, UsageError):
         grid = GridSpec(min=args.grid_min, max=args.grid_max, count=args.grid_count)
-    try:
-        np.empty(grid.count)  # as synth checks --n, before any input is read
-    except (MemoryError, ValueError) as exc:  # numpy: no memory, or past the address space
-        raise UsageError(f"--grid-count {grid.count} points do not fit in memory: {exc}") from exc
+    # as synth checks --n, before any input is read
+    with _naming(f"--grid-count {grid.count} points do not fit in memory", UsageError, _NO_ROOM):
+        np.empty(grid.count)
     if not args.input:
         raise UsageError("fit requires at least one --input file")
     spellings = {}  # by real path: a file given twice would be pooled twice
@@ -391,10 +389,8 @@ def _flag_params(args: argparse.Namespace) -> QGaussianParams:
 
 def cmd_synth(args: argparse.Namespace, stage: Path) -> str:
     params = _flag_params(args)
-    try:
+    with _naming(f"--n {args.n} prices do not fit in memory", UsageError, _NO_ROOM):
         log_price = np.empty(args.n)
-    except (MemoryError, ValueError) as exc:  # numpy: no memory, or past the address space
-        raise UsageError(f"--n {args.n} prices do not fit in memory: {exc}") from exc
 
     # The increments are drawn into the walk's buffer and summed there in
     # place once their scale is known, so the walk is the one n-value array.

@@ -221,17 +221,13 @@ def fit_ladder(
                 batches.append(normalize(log_returns(s, dt)))
         pooled = pool(batches)
         del batches  # pool copies several batches: these are not held while the scale is fitted
-        n_pooled = len(pooled)
-        try:  # besides one copy of |pooled|, this scale's arrays hold grid.count points
-            # a grid past the data, or too few points left on it
-            with _naming(f"pooled returns at dt={dt}"):
-                ccdf = empirical_ccdf(pooled, dt, grid)
-                del pooled  # not held while this scale is fitted and the next one built
-                fit = fit_qgaussian_ccdf(ccdf)
-        except MemoryError as exc:
-            raise MemoryError(
-                f"pooled returns at dt={dt}: {n_pooled} returns on a {grid.count}-point grid: {exc}"
-            ) from exc
+        # besides one copy of |pooled|, this scale's arrays hold grid.count points
+        size = f"pooled returns at dt={dt}: {len(pooled)} returns on a {grid.count}-point grid"
+        # a grid past the data, or too few points left on it
+        with _naming(size, MemoryError, MemoryError), _naming(f"pooled returns at dt={dt}"):
+            ccdf = empirical_ccdf(pooled, dt, grid)
+            del pooled  # not held while this scale is fitted and the next one built
+            fit = fit_qgaussian_ccdf(ccdf)
         yield ccdf, fit
 
 
@@ -376,7 +372,7 @@ def _json_fit(row: dict) -> ScaleFitResult:
         if cast is not bool:
             _check_json_number(name, value, whole=cast is int)
         elif not isinstance(value, bool):
-            raise ValueError(f"{name} must be true or false, got {value!r}")
+            raise ValueError(f"{name} must be true or false, got {json.dumps(value)}")
     return ScaleFitResult(
         **{key: cast(row[key]) for key, cast in _FIELD_TYPES.items() if key in row}
     )

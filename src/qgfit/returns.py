@@ -298,11 +298,15 @@ def _reading(path: str | Path):
 
 
 @contextmanager
-def _naming(prefix: str | Path | None, error: type[Exception] = ValueError):
-    """A ValueError raised in the block becomes `error` from it, named `prefix: ` if given."""
+def _naming(
+    prefix: str | Path | None,
+    error: type[Exception] = ValueError,
+    catch: type[Exception] | tuple[type[Exception], ...] = ValueError,
+):
+    """An exception of `catch` in the block becomes `error` from it, named `prefix: ` if given."""
     try:
         yield
-    except ValueError as exc:
+    except catch as exc:
         raise error(str(exc) if prefix is None else f"{prefix}: {exc}") from exc
 
 
@@ -420,10 +424,11 @@ def read_ccdf_csv(path: str | Path) -> EmpiricalCCDF:
 def _check_json_number(name: str, value, whole: bool = False) -> None:
     """A ValueError naming `name` unless JSON `value` is a number in float range, whole if asked.
 
-    A bool, a string and null are not numbers.
+    A bool, a string and null are not numbers.  The value is quoted as JSON writes it.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not number or (whole and isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be {'an integer' if whole else 'a number'}, got {value!r}")
+        kind = "an integer" if whole else "a number"
+        raise ValueError(f"{name} must be {kind}, got {json.dumps(value)}")
     if isinstance(value, int) and abs(value) > sys.float_info.max:  # float() overflows
         raise ValueError(f"{name} must be a number, got an integer past float range")

@@ -262,7 +262,7 @@ class TestSynth:
         out = tmp_path / "o"
         assert run("synth", "--q", 1.5, "--beta", 1, "--n", n, "--out", out) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"qgfit: usage error: --n {n} ")
+        assert err.startswith(f"qgfit: usage error: --n {n} prices do not fit in memory: ")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -831,11 +831,11 @@ class TestPdfPlot:
             ('[[0.5, 0.8], [1, 0.5], [2, 0.2]]',
              "expected a JSON object with lists x and ccdf_empirical"),
             ('{"x": ["0.5", 1, 2], "ccdf_empirical": [0.8, 0.5, 0.2]}',
-             "x[0] must be a number, got '0.5'"),
+             'x[0] must be a number, got "0.5"'),
             ('{"x": [0.5, 1, 2], "ccdf_empirical": [0.8, true, 0.2]}',
-             "ccdf_empirical[1] must be a number, got True"),
+             "ccdf_empirical[1] must be a number, got true"),
             ('{"x": [0.5, 1, 2], "ccdf_empirical": [0.8, 0.5, null]}',
-             "ccdf_empirical[2] must be a number, got None"),
+             "ccdf_empirical[2] must be a number, got null"),
             ('{"x": [0.5, 1, 1' + "0" * 400 + '], "ccdf_empirical": [0.8, 0.5, 0.2]}',
              "x[2] must be a number, got an integer past float range"),
             ('{"x": [0.5, 1, 2], "ccdf_empirical": [0.8, 0.5, NaN]}',
@@ -1138,15 +1138,17 @@ class TestBadInputExitCodes:
         assert str(path) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field, value", [("dt", 4.5), ("dt", True), ("n_points", 60.5)], ids=["dt", "bool", "n"]
+        "field, value, written",
+        [("dt", 4.5, "4.5"), ("dt", True, "true"), ("n_points", 60.5, "60.5")],
+        ids=["dt", "bool", "n"],
     )
-    def test_fits_json_non_integer_is_data_error(self, tmp_path, capsys, field, value):
+    def test_fits_json_non_integer_is_data_error(self, tmp_path, capsys, field, value, written):
         # int() would turn these into a different scale or count
         path = fits_json(tmp_path, **{field: value})
         out = tmp_path / "o"
         assert cli.main(["scaling", "--fits", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"{field} must be an integer, got {value}" in err and str(path) in err
+        assert f"{field} must be an integer, got {written}" in err and str(path) in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1166,26 +1168,30 @@ class TestBadInputExitCodes:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["false", 0, None])
-    def test_fits_json_non_boolean_converged_is_data_error(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize(
+        "value, written", [("false", '"false"'), (0, "0"), (None, "null")], ids=["false", "0", "None"]
+    )
+    def test_fits_json_non_boolean_converged_is_data_error(self, tmp_path, capsys, value, written):
         # bool("false") is True
         path = fits_json(tmp_path, converged=value)
         out = tmp_path / "o"
         assert cli.main(["scaling", "--fits", str(path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "converged must be true or false" in err and str(path) in err
+        assert capsys.readouterr().err == (
+            f"qgfit: data error: cannot parse fits file {path}: fit 1: "
+            f"converged must be true or false, got {written}\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "row, message",
         [
-            ('"dt": 8, "q": 1.49, "beta": true', "beta must be a number, got True"),
-            ('"dt": 8, "q": "1.49", "beta": 1.6', "q must be a number, got '1.49'"),
-            ('"dt": 8, "q": null, "beta": 1.6', "q must be a number, got None"),
+            ('"dt": 8, "q": 1.49, "beta": true', "beta must be a number, got true"),
+            ('"dt": 8, "q": "1.49", "beta": 1.6', 'q must be a number, got "1.49"'),
+            ('"dt": 8, "q": null, "beta": 1.6', "q must be a number, got null"),
             ('"dt": 8, "beta": 1.6', "missing q"),
             ('"dt": 8, "q": 1.49, "beta": 1.6, "residual": true',
-             "residual must be a number, got True"),
-            ('"dt": "8", "q": 1.49, "beta": 1.6', "dt must be an integer, got '8'"),
+             "residual must be a number, got true"),
+            ('"dt": "8", "q": 1.49, "beta": 1.6', 'dt must be an integer, got "8"'),
             (f'"dt": 8, "q": {HUGE_INT}, "beta": 1.6',
              "q must be a number, got an integer past float range"),
             (f'"dt": {HUGE_INT}, "q": 1.49, "beta": 1.6',
@@ -1337,6 +1343,24 @@ class TestBadInputExitCodes:
             argv += ["--config", str(cfg)]
         assert cli.main(argv) == 1
         assert "--dt" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_non_integer_dt_item_is_usage_error(self, tmp_path, capsys, spelling):
+        path = write_walk(tmp_path / "walk.csv")
+        out = tmp_path / "o"
+        argv = ["fit", "--input", str(path), "--out", str(out)]
+        if spelling == "flag":
+            argv += ["--dt", "4,x,16"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("dt=4,x,16\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.endswith(
+            "\nqgfit fit: error: argument --dt: expects a comma-separated integer list: "
+            "invalid literal for int() with base 10: 'x'\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("spelling", ["dot", "symlink"])

@@ -19,6 +19,9 @@ from qgfit.qgaussian import (
     tail_to_q,
 )
 
+# Gamma(100.5)/Gamma(100), frozen from mpmath at 40 significant digits
+# (tests/oracles.py prints it).
+GAMMA_RATIO_100_5 = 9.98750786126251821
 
 # P(|X| > x) at x = 1e-2, 1e-1, ..., 1e4, frozen from the closed form
 # 1 - 2 A x 2F1(1/2, 1/(q-1); 3/2; -beta(q-1)x^2) at 360 digits
@@ -124,6 +127,12 @@ class TestNormalization:
         assert normalization(QGaussianParams(2.0, 1.0)) == pytest.approx(
             1.0 / math.pi, rel=1e-12
         )
+
+    def test_large_b_matches_gamma_ratio_oracle(self):
+        # b = 1/(q-1) = 100.5: G(100.5) and G(100) are near 1e157, their ratio near 10
+        q = 1.0 + 1.0 / 100.5
+        amp = normalization(QGaussianParams(q, 1.0))
+        assert amp == pytest.approx(math.sqrt((q - 1.0) / math.pi) * GAMMA_RATIO_100_5, rel=1e-12)
 
     def test_density_integrates_to_one(self):
         p = QGaussianParams(1.53, 1.78)

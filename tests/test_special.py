@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from qgfit.qgaussian import QGaussianParams, normalization
 from qgfit.special import _leading_term, hyp2f1, hyp2f1_tail_remainder
 
 # Frozen oracle values, computed once with mpmath at 40 significant digits
@@ -19,9 +18,7 @@ class TestGammaRatio:
 
     def test_large_arguments(self):
         # b = 100.5: G(100.5) and G(100) are near 1e157, their ratio near 10.
-        q = 1.0 + 1.0 / 100.5
-        amp = normalization(QGaussianParams(q, 1.0))
-        assert amp == pytest.approx(math.sqrt((q - 1.0) / math.pi) * GAMMA_RATIO_100_5, rel=1e-12)
+        # tests/test_qgaussian.py checks `normalization` at the same b.
         lead = _leading_term(100.5, 1.0)
         assert lead == pytest.approx(0.5 * math.sqrt(math.pi) / GAMMA_RATIO_100_5, rel=1e-12)
 
