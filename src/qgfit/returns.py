@@ -9,7 +9,6 @@ the exceedance curve back into a density.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import re
 import sys
@@ -46,6 +45,14 @@ _MIN_RELATIVE_VOL = float(np.sqrt(np.finfo(float).eps))
 _DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 # Encoding of every input file: UTF-8, after a byte-order mark if there is one.
 _ENCODING = "utf-8-sig"
+# Where a failed read stopped: a codec's byte position in the text it decoded,
+# or numpy's row, counted among non-blank rows from 0 for a bad value (whose
+# column it counts from 1) and from 1 for a short row.
+_FAILED_AT = re.compile(
+    r" in position [\d-]+(?=: [a-z ]+$)| at row (\d+)(?:, column (\d+)\.$|(?= with \d+ columns$))"
+)
+# A byte that is not UTF-8, as errors="surrogateescape" decodes it.
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 class PriceSeries:
@@ -321,18 +328,14 @@ def _read_csv_columns(
     `fallback` name, in any order; other columns are ignored.  The rows go
     through one `np.loadtxt` call: fields may be quoted, blank lines are
     skipped and a header-only file has no rows.  A missing column, a
-    malformed row or a byte that is not UTF-8, named by its file line, or a
-    read fault is a ValueError that does not name the path.
+    malformed row, a byte that is not UTF-8 or a read fault is a ValueError
+    that does not name the path.  A row that is malformed or holds such a
+    byte is named by the last file line of its record, unless the table is a
+    pipe, which cannot be read again for it; such a byte in the header, or in
+    a pipe's first 8 KiB, keeps the codec's message.
     """
     fallback = fallback or {}
     with _reading(path) as fh, warnings.catch_warnings():
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        index = {name: i for i, name in enumerate(header or ())}  # last duplicate wins
-        index |= {c: index[a] for c, a in fallback.items() if c not in index and a in index}
-        if not index.keys() >= columns.keys():
-            wanted = (f"{c} (or {fallback[c]})" if c in fallback else c for c in columns)
-            raise ValueError(f"expected columns {','.join(wanted)}, got {header}")
         # a header-only file is not malformed; each reader's checks judge no rows
         warnings.simplefilter("ignore", UserWarning)
         # older numpy parses "4.5" as the integer 4 and only warns
@@ -340,51 +343,45 @@ def _read_csv_columns(
         # numpy reads a path in large chunks and a handle a line at a time.  A
         # pipe cannot be read twice, and numpy would decompress these names.
         source = fh if not fh.seekable() or path.name.endswith(_DECOMPRESSED_SUFFIXES) else path
+        reader = csv.reader(fh)
+        header = None
         try:
-            return np.loadtxt(
-                source,
-                skiprows=reader.line_num if source is path else 0,  # the header record
-                encoding=_ENCODING,
-                dtype=[(c, np.int64 if t is int else t) for c, t in columns.items()],
-                delimiter=",",
-                quotechar='"',
-                comments=None,
-                usecols=[index[c] for c in columns],
-                ndmin=1,
-            )
-        except UnicodeDecodeError as exc:
-            if not fh.seekable():  # a pipe cannot be read again for the line
-                raise ValueError(f"malformed row ({exc})") from exc
-            fh.buffer.seek(0)  # only an undecodable table is read twice, for its file line
-            detail = re.sub(r" in position [\d-]+", "", str(exc))  # numpy's chunk, not the file
-            line = _undecodable_line(fh.buffer)
-            raise ValueError(f"malformed row at line {line} ({detail})") from exc
-        except ValueError as exc:
-            # numpy counts non-blank rows from 0 for a bad value, whose column it
-            # counts from 1, and from 1 for a short row
+            header = next(reader, None)  # decodes the first 8 KiB, rows as well
+            index = {name: i for i, name in enumerate(header or ())}  # last duplicate wins
+            index |= {c: index[a] for c, a in fallback.items() if c not in index and a in index}
+            if index.keys() >= columns.keys():
+                return np.loadtxt(
+                    source,
+                    skiprows=reader.line_num if source is path else 0,  # the header record
+                    encoding=_ENCODING,
+                    dtype=[(c, np.int64 if t is int else t) for c, t in columns.items()],
+                    delimiter=",",
+                    quotechar='"',
+                    comments=None,
+                    usecols=[index[c] for c in columns],
+                    ndmin=1,
+                )
+        except ValueError as exc:  # a UnicodeDecodeError too
             text = str(exc)
-            found = re.search(r" at row (\d+)(?:, column (\d+)\.$|(?= with \d+ columns$))", text)
+            found = _FAILED_AT.search(text)
             if found is None or not fh.seekable():  # a pipe's lines cannot be counted again
+                if header is None:  # the header may hold the bad byte
+                    raise
                 raise ValueError(f"malformed row ({exc})") from exc
             fh.seek(0)  # only a malformed table is read twice, for its file line
+            fh.reconfigure(errors="surrogateescape")
             reader = csv.reader(fh)
-            ends = (reader.line_num for record in reader if record)  # the header, then the rows
-            line = next(itertools.islice(ends, int(found[1]) + (found[2] is not None), None), "?")
+            bad = None if found[1] is None else int(found[1]) + (found[2] is not None)
+            records = enumerate(record for record in reader if record)  # the header is 0
+            i = next((i for i, r in records if i == bad or _UNDECODED.search(",".join(r))), None)
+            if i == 0:  # not a row
+                raise
             where = f" in column {header[int(found[2]) - 1]!r}" if found[2] else ""
             detail = text[: found.start()] + text[found.end() :]
+            line = "?" if i is None else reader.line_num
             raise ValueError(f"malformed row at line {line} ({detail}){where}") from exc
-
-
-def _undecodable_line(binary) -> int | str:
-    """File line, counted from 1, of the first byte of binary file `binary` that is not UTF-8."""
-    line = 0
-    for piece in binary:  # each piece ends at a b"\n", which no UTF-8 sequence holds
-        try:
-            piece.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return line + len(piece[: exc.start + 1].splitlines())
-        line += len(piece.splitlines())
-    return "?"
+        wanted = (f"{c} (or {fallback[c]})" if c in fallback else c for c in columns)
+        raise ValueError(f"expected columns {','.join(wanted)}, got {header}")
 
 
 def read_price_csv(path: str | Path) -> PriceSeries:

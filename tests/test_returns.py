@@ -641,32 +641,74 @@ class TestIO:
         assert str(info.value).startswith(f"{path}: malformed row at line {line} {message}")
         assert "at row" not in str(info.value)
 
-    @pytest.mark.parametrize("reader", sorted(TABLE_READERS))
-    def test_table_malformed_row_names_file_line(self, tmp_path, reader):
+    @pytest.mark.parametrize(
+        "reader, name",
+        [
+            pytest.param("curve", "table.csv", id="curve"),
+            pytest.param("fits", "table.csv", id="fits"),
+            # a name numpy would decompress: the rows are read from the open handle
+            pytest.param("curve", "table.csv.gz", id="curve-csv_gz"),
+            pytest.param("fits", "table.csv.gz", id="fits-csv_gz"),
+        ],
+    )
+    def test_table_malformed_row_names_file_line(self, tmp_path, reader, name):
         read, renames, _ = TABLE_READERS[reader]
         text = "timestamp,volume,price\r\n1,2,0.75\r\n\r\n2,3,x\r\n"
         with pytest.raises(ValueError, match=r"malformed row at line 4 \(could not convert"):
-            read(write_table(tmp_path / "table.csv", text, renames))
+            read(write_table(tmp_path / name, text, renames))
 
-    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
-    def test_undecodable_byte_names_file_line(self, tmp_path, newline):
+    @pytest.mark.parametrize(
+        "newline, line, name",
+        [
+            pytest.param(b"\n", 30_001, "prices.csv", id="lf"),
+            pytest.param(b"\r\n", 30_001, "prices.csv", id="crlf"),
+            # the first 8 KiB are decoded while the header is read
+            pytest.param(b"\n", 11, "prices.csv", id="line_11-lf"),
+            pytest.param(b"\r\n", 601, "prices.csv", id="line_601-crlf"),
+            # a name numpy would decompress: the rows are read from the open handle
+            pytest.param(b"\n", 30_001, "prices.csv.gz", id="csv_gz-lf"),
+            pytest.param(b"\n", 11, "prices.csv.gz", id="csv_gz-line_11-lf"),
+        ],
+    )
+    def test_undecodable_byte_names_file_line(self, tmp_path, newline, line, name):
         # numpy reads the rows in chunks, and the codec's position is an offset into one
         rows = [b"timestamp,price", *(b"%d,1.5" % t for t in range(30_000))]
-        rows[-1] = b"\xff" + rows[-1]
+        rows[line - 1] = b"\xff" + rows[line - 1]
         data = newline.join([*rows, b""])
-        path = tmp_path / "prices.csv"
+        path = tmp_path / name
         path.write_bytes(data)
         with pytest.raises(ValueError) as info:
             read_price_csv(path)
         assert str(info.value) == (
-            f"{path}: malformed row at line 30001 "
+            f"{path}: malformed row at line {line} "
             "('utf-8' codec can't decode byte 0xff: invalid start byte)"
         )
-        if hasattr(os, "mkfifo"):
+        if hasattr(os, "mkfifo") and line == len(rows):  # past the first 8 KiB
             # a pipe cannot be read again for the line: the codec's message stands
             pattern = r"malformed row \('utf-8' .* in position"
             with pytest.raises(ValueError, match=named(tmp_path / "pipe", pattern)):
                 read_through_pipe(tmp_path, data)
+
+    @pytest.mark.parametrize("rows_before", [1, 2_900], ids=["first_8_kib", "past_8_kib"])
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (b'"3\n.0"', "(could not convert string '3\\n.0' to float64) in column 'price'"),
+            (b'"3\xff\n.0"', "('utf-8' codec can't decode byte 0xff: invalid start byte)"),
+            (b'"3\n\xff.0"', "('utf-8' codec can't decode byte 0xff: invalid start byte)"),
+        ],
+        ids=["bad_value", "bad_byte_first_line", "bad_byte_last_line"],
+    )
+    def test_record_over_two_lines_named_by_its_last_line(
+        self, tmp_path, rows_before, record, message
+    ):
+        # a quoted newline: one record, and the bad value's rule holds for a bad byte too
+        rows = [b"timestamp,price", *(b"%d,1.5" % t for t in range(rows_before))]
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"\n".join([*rows, b"%d," % rows_before + record, b"9999,1", b""]))
+        with pytest.raises(ValueError) as info:
+            read_price_csv(path)
+        assert str(info.value) == f"{path}: malformed row at line {rows_before + 3} {message}"
 
     @pytest.mark.parametrize("reader", ["price", *sorted(TABLE_READERS), "fits_json"])
     def test_byte_order_mark_ignored(self, tmp_path, reader):
@@ -771,6 +813,21 @@ class TestIO:
         timestamps, prices = dictreader_prices(path)
         assert np.array_equal(series.timestamps, timestamps)
         assert np.array_equal(series.log_values, np.log(prices))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize(
+        "data", [b"timestamp,pr\xffice\n0,1.0\n", b"timestamp,price\n0,1.0\n\xff1,2.0\n"],
+        ids=["header", "row"],
+    )
+    def test_pipe_undecodable_first_chunk(self, tmp_path, data):
+        # decoded with the header, which may hold the bad byte: no row is named
+        position = data.index(0xFF)
+        with pytest.raises(ValueError) as info:
+            read_through_pipe(tmp_path, data)
+        assert str(info.value) == (
+            f"{tmp_path / 'pipe'}: 'utf-8' codec can't decode byte 0xff "
+            f"in position {position}: invalid start byte"
+        )
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_malformed_row(self, tmp_path):
