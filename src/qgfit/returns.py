@@ -13,7 +13,7 @@ import json
 import re
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import FrozenInstanceError, dataclass
 from pathlib import Path
 
@@ -331,8 +331,9 @@ def _read_csv_columns(
     malformed row, a byte that is not UTF-8 or a read fault is a ValueError
     that does not name the path.  A row that is malformed or holds such a
     byte is named by the last file line of its record, unless the table is a
-    pipe, which cannot be read again for it; such a byte in the header, or in
-    a pipe's first 8 KiB, keeps the codec's message.
+    pipe, which cannot be read again for it, or csv stops before that record;
+    such a byte in the header, or in a pipe's first 8 KiB, keeps the codec's
+    message.
     """
     fallback = fallback or {}
     with _reading(path) as fh, warnings.catch_warnings():
@@ -346,7 +347,8 @@ def _read_csv_columns(
         reader = csv.reader(fh)
         header = None
         try:
-            header = next(reader, None)  # decodes the first 8 KiB, rows as well
+            with _naming(None, catch=csv.Error):  # an overlong field, or a NUL before 3.11
+                header = next(reader, None)  # decodes the first 8 KiB, rows as well
             index = {name: i for i, name in enumerate(header or ())}  # last duplicate wins
             index |= {c: index[a] for c, a in fallback.items() if c not in index and a in index}
             if index.keys() >= columns.keys():
@@ -364,22 +366,22 @@ def _read_csv_columns(
         except ValueError as exc:  # a UnicodeDecodeError too
             text = str(exc)
             found = _FAILED_AT.search(text)
-            if found is None or not fh.seekable():  # a pipe's lines cannot be counted again
+            i = None  # the failed record, counted among non-blank records from the header's 0
+            if found is not None and fh.seekable():  # a pipe's lines cannot be counted again
+                fh.seek(0)  # only a malformed table is read twice, for its file line
+                fh.reconfigure(errors="surrogateescape")
+                reader = csv.reader(fh)
+                bad = None if found[1] is None else int(found[1]) + (found[2] is not None)
+                records = enumerate(record for record in reader if record)
+                with suppress(StopIteration, csv.Error):  # none found, or csv stops first
+                    i = next(i for i, r in records if i == bad or _UNDECODED.search(",".join(r)))
+            if not i:  # not found, or in the header
                 if header is None:  # the header may hold the bad byte
                     raise
                 raise ValueError(f"malformed row ({exc})") from exc
-            fh.seek(0)  # only a malformed table is read twice, for its file line
-            fh.reconfigure(errors="surrogateescape")
-            reader = csv.reader(fh)
-            bad = None if found[1] is None else int(found[1]) + (found[2] is not None)
-            records = enumerate(record for record in reader if record)  # the header is 0
-            i = next((i for i, r in records if i == bad or _UNDECODED.search(",".join(r))), None)
-            if i == 0:  # not a row
-                raise
             where = f" in column {header[int(found[2]) - 1]!r}" if found[2] else ""
             detail = text[: found.start()] + text[found.end() :]
-            line = "?" if i is None else reader.line_num
-            raise ValueError(f"malformed row at line {line} ({detail}){where}") from exc
+            raise ValueError(f"malformed row at line {reader.line_num} ({detail}){where}") from exc
         wanted = (f"{c} (or {fallback[c]})" if c in fallback else c for c in columns)
         raise ValueError(f"expected columns {','.join(wanted)}, got {header}")
 

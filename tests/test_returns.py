@@ -683,9 +683,13 @@ class TestIO:
             f"{path}: malformed row at line {line} "
             "('utf-8' codec can't decode byte 0xff: invalid start byte)"
         )
-        if hasattr(os, "mkfifo") and line == len(rows):  # past the first 8 KiB
-            # a pipe cannot be read again for the line: the codec's message stands
+        if hasattr(os, "mkfifo"):
+            # a pipe cannot be read again for the line: the codec's message stands, in the
+            # first 8 KiB as the header read gives it, since the header may hold the byte
             pattern = r"malformed row \('utf-8' .* in position"
+            if line < len(rows):
+                pattern = rf"'utf-8' codec can't decode byte 0xff in position {data.index(0xFF)}:"
+                data = data[: 2**13]  # the reader stops in the first 8 KiB
             with pytest.raises(ValueError, match=named(tmp_path / "pipe", pattern)):
                 read_through_pipe(tmp_path, data)
 
@@ -803,6 +807,47 @@ class TestIO:
         with pytest.raises(ValueError, match=named(path, pattern)):
             read_price_csv(path)
 
+    def test_gzip_file_fails_at_header_where_csv_rejects_nul(self, tmp_path, monkeypatch):
+        # csv before Python 3.11 stops at a NUL, which a gzip file's first line holds
+        csv_reader = csv.reader
+
+        def checked(lines):
+            for line in lines:
+                if "\0" in line:
+                    raise csv.Error("line contains NUL")
+                yield line
+
+        monkeypatch.setattr(csv, "reader", lambda lines, **kw: csv_reader(checked(lines), **kw))
+        path = tmp_path / "prices.csv.gz"
+        with gzip.open(path, "wt", encoding="utf-8") as fh:
+            fh.write("timestamp,price\n0,1.0\n1,2.0\n")
+        pattern = "can't decode byte 0x8b in position 1"
+        with pytest.raises(ValueError, match=named(path, pattern)):
+            read_price_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (b"2,1.5,\xff", r"'utf-8' codec .* in position \d+: invalid start byte"),
+            (b"2,x,", r"could not convert string 'x' to float64 at row 2, column 2\."),
+        ],
+        ids=["bad_byte", "bad_value"],
+    )
+    def test_overlong_field_before_failure_leaves_no_line(self, tmp_path, row, message):
+        # numpy reads any field; csv, which finds the line, stops at one past its limit
+        note = b'"' + b"a" * (csv.field_size_limit() + 1) + b'"'
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"timestamp,price,note\n0,1.0," + note + b"\n1,1.2,\n" + row + b"\n")
+        with pytest.raises(ValueError, match=named(path, rf"malformed row \({message}\)$")):
+            read_price_csv(path)
+
+    def test_overlong_header_field_is_value_error(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        note = "a" * (csv.field_size_limit() + 1)
+        path.write_text(f'timestamp,price,"{note}"\n0,1.0,\n')
+        with pytest.raises(ValueError, match=named(path, "field larger than field limit")):
+            read_price_csv(path)
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_read_once(self, tmp_path):
         # a pipe cannot be opened again for the rows
@@ -815,18 +860,12 @@ class TestIO:
         assert np.array_equal(series.log_values, np.log(prices))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    @pytest.mark.parametrize(
-        "data", [b"timestamp,pr\xffice\n0,1.0\n", b"timestamp,price\n0,1.0\n\xff1,2.0\n"],
-        ids=["header", "row"],
-    )
-    def test_pipe_undecodable_first_chunk(self, tmp_path, data):
-        # decoded with the header, which may hold the bad byte: no row is named
-        position = data.index(0xFF)
+    def test_pipe_undecodable_header(self, tmp_path):
         with pytest.raises(ValueError) as info:
-            read_through_pipe(tmp_path, data)
+            read_through_pipe(tmp_path, b"timestamp,pr\xffice\n0,1.0\n")
         assert str(info.value) == (
             f"{tmp_path / 'pipe'}: 'utf-8' codec can't decode byte 0xff "
-            f"in position {position}: invalid start byte"
+            "in position 12: invalid start byte"
         )
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
