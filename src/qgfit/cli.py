@@ -330,12 +330,16 @@ def cmd_fit(args: argparse.Namespace, stage: Path) -> str:
         np.empty(grid.count)
     if not args.input:
         raise UsageError("fit requires at least one --input file")
-    spellings = {}  # by real path: a file given twice would be pooled twice
+    spellings = {}  # by file identity: a file given twice, hard links too, would be pooled twice
     for path in args.input:
-        real = os.path.realpath(path)
-        if real in spellings:
-            raise UsageError(f"--input {spellings[real]} and {path} are the same file")
-        spellings[real] = path
+        try:
+            stat = os.stat(path)
+            same = (stat.st_dev, stat.st_ino)
+        except OSError:  # the reader names what is wrong with it
+            same = os.path.realpath(path)
+        if same in spellings:
+            raise UsageError(f"--input {spellings[same]} and {path} are the same file")
+        spellings[same] = path
     series = {path: read_price_csv(path) for path in args.input}  # keys distinct: checked above
 
     fits = []

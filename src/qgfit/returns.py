@@ -14,7 +14,7 @@ import re
 import sys
 import warnings
 from contextlib import contextmanager, suppress
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,7 @@ _FAILED_AT = re.compile(
 _UNDECODED = re.compile("[\udc80-\udcff]")
 
 
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class PriceSeries:
     """Log instrument values ln W(t) on a strictly increasing integer tick grid.
 
@@ -65,8 +66,12 @@ class PriceSeries:
     then only the first tick is kept, and a series holds 8 bytes per tick.
     The ticks of a gapped grid are kept as a contiguous int64 array, copied
     unless they are one already, so it holds 16 bytes per tick.  Neither
-    keeps a view into its input.  A series is immutable.
+    keeps a view into its input.  A series and its log values are immutable.
     """
+
+    log_values: np.ndarray
+    _first_tick: int
+    _gapped_ticks: np.ndarray | None
 
     def __init__(self, timestamps: np.ndarray, prices: np.ndarray):
         ticks = np.asarray(timestamps)
@@ -88,20 +93,14 @@ class PriceSeries:
         if not np.all(prices > 0.0):
             raise ValueError("prices must be positive (log returns are taken)")
         first = int(ticks[0])
+        unbroken = int(ticks[-1]) - first == len(ticks) - 1
         # read_price_csv passes a field of loadtxt's records: a gapped grid's
         # copy lets them go, and an unbroken grid keeps nothing of them
-        gapped = None
-        if int(ticks[-1]) - first != len(ticks) - 1:
-            gapped = np.ascontiguousarray(ticks, dtype=np.int64)
+        gapped = None if unbroken else np.ascontiguousarray(ticks, dtype=np.int64)
         object.__setattr__(self, "_first_tick", first)
         object.__setattr__(self, "_gapped_ticks", gapped)
         object.__setattr__(self, "log_values", np.log(prices))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        self.log_values.flags.writeable = False  # every dt's returns are taken from it
 
     @property
     def timestamps(self) -> np.ndarray:

@@ -30,6 +30,11 @@ def qgaussian_pdf(q, beta, x):
     return amp * (1 + (q - 1) * beta * x * x) ** (-1 / (q - 1))
 
 
+def qgaussian_variance(q, beta):
+    """Variance of the q-Gaussian for q < 5/3: the quadrature of x^2 times qgaussian_pdf."""
+    return 2 * mp.quad(lambda x: x * x * qgaussian_pdf(q, beta, x), [0, 1, mp.inf])
+
+
 # Working precision of the CCDF oracle: its closed form cancels down to
 # values near 1e-300, which still keep about 60 significant digits.
 CCDF_DPS = 360

@@ -937,6 +937,7 @@ class TestConfigPrecedence:
             ("seed = -1", "--seed"),
             ("grid-min = low", "--grid-min"),
             ("dt = 4,2", "--dt"),
+            ("dt = 0,4", "--dt"),
             ("format = xml", "--format"),
         ],
     )
@@ -1089,7 +1090,7 @@ def write_walk(path, n=2000, bad=None):
 
 
 class TestSearchBoxEdge:
-    def test_pinned_fit_warns(self, tmp_path, capsys):
+    def test_pinned_fit_warns(self, tmp_path, capsys, monkeypatch):
         # Gaussian increments have no heavy tail, so some scales end on q = 1.01
         path = write_walk(tmp_path / "walk.csv", n=20_000)
         out = tmp_path / "o"
@@ -1099,6 +1100,21 @@ class TestSearchBoxEdge:
         pinned = [str(f["dt"]) for f in fits if abs(f["q"] - Q_BOUNDS[0]) <= 1e-6 * Q_BOUNDS[0]]
         assert pinned
         assert warned == pinned
+
+        # a fit the optimizer reports as failed warns too, and fits.json says so
+        minimize = estimation.minimize
+
+        def failed(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            result.success = False
+            return result
+
+        monkeypatch.setattr(estimation, "minimize", failed)
+        out = tmp_path / "failed"
+        assert run("fit", "--input", path, "--dt", "1,4", "--out", out) == 0
+        warned = re.findall(r"fit at dt=(\d+) did not converge", capsys.readouterr().err)
+        assert warned == ["1", "4"]
+        assert [f["converged"] for f in json.loads((out / "fits.json").read_text())] == [False] * 2
 
 
 # An integer that float() cannot hold.
@@ -1156,8 +1172,9 @@ class TestBadInputExitCodes:
         [
             ({"residual": -3, "n_points": -7}, "fit residual must be non-negative, got -3.0"),
             ({"n_points": -7}, "n_points must be non-negative, got -7"),
+            ({"residual": math.nan}, "fit residual must be finite"),  # json reads NaN
         ],
-        ids=["residual", "n_points"],
+        ids=["residual", "n_points", "nan_residual"],
     )
     def test_fits_json_negative_diagnostic_is_data_error(self, tmp_path, capsys, fields, message):
         path = fits_json(tmp_path, **fields)
@@ -1363,17 +1380,18 @@ class TestBadInputExitCodes:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("spelling", ["dot", "symlink"])
+    @pytest.mark.parametrize("spelling", ["dot", "symlink", "hardlink"])
     def test_same_input_twice_is_usage_error(self, tmp_path, capsys, monkeypatch, spelling):
         # pooling a walk twice moves the grid cap and so the fitted q
         path = write_walk(tmp_path / "walk.csv")
         again = os.path.join(tmp_path, ".", "walk.csv")
-        if spelling == "symlink":
+        if spelling != "dot":
             again = tmp_path / "link.csv"
+            link = again.symlink_to if spelling == "symlink" else again.hardlink_to
             try:
-                again.symlink_to(path)
-            except OSError as exc:  # not permitted on some Windows setups
-                pytest.skip(f"cannot make a symlink: {exc}")
+                link(path)
+            except (OSError, NotImplementedError) as exc:  # not permitted, or no os.link
+                pytest.skip(f"cannot make a {spelling}: {exc}")
 
         def unexpected(p):
             raise AssertionError(f"{p} was parsed before the inputs were compared")
@@ -1701,6 +1719,29 @@ class TestProcessEntry:
         enabled_after, collections, has_gc = res.stdout.split()
         assert (enabled_after, has_gc) == (str(enabled), "False")
         assert int(collections) == 0
+
+    def test_commands_load_no_high_precision_module(self, tmp_path):
+        # README: nothing high-precision runs in the production path, and
+        # scipy.stats alone once cost more than a second of import
+        unwanted = ["scipy.stats", "scipy.integrate", "scipy.interpolate", "mpmath"]
+        code = (
+            "import sys\nfrom qgfit import cli\n"
+            "out = sys.argv[1]\n"
+            "for argv in [\n"
+            "    ['synth', '--q', '1.5', '--beta', '1', '--n', '5000', '--out', out],\n"
+            "    ['fit', '--input', out + '/synth.csv', '--dt', '1,2,4', '--out', out],\n"
+            "    ['scaling', '--fits', out + '/fits.json', '--out', out],\n"
+            "    ['pdfplot', '--ccdf', out + '/ccdf_dt1.csv', '--q', '1.5', '--beta', '1',\n"
+            "     '--out', out],\n"
+            "    ['table1', '--out', out],\n"
+            "]:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "print(*sorted(set(sys.argv[2:]) & set(sys.modules)))"
+        )
+        res = run_python("-c", code, tmp_path, *unwanted)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == ""
+        assert (tmp_path / "pdfplot.csv").is_file()
 
     def test_import_leaves_callers_frozen_objects_frozen(self):
         code = (

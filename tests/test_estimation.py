@@ -309,10 +309,19 @@ class TestFitPowerLaw:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             fit_power_law([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
+        with pytest.raises(ValueError, match="amplitude must be positive"):
+            PowerLawFit(exponent=1.0, amplitude=0.0, exponent_stderr=0.0, r_squared=1.0)
+        with pytest.raises(ValueError, match="standard error cannot be negative"):
+            PowerLawFit(exponent=1.0, amplitude=1.0, exponent_stderr=-1.0, r_squared=1.0)
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
             fit_power_law([1.0, 2.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="x and y must have equal length"):
+            fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0])
+        # three points, but one x: no line through them has a slope
+        with pytest.raises(ValueError, match="x values are all identical"):
+            fit_power_law([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize(
         "x, exponent",

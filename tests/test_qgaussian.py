@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
+import oracles
 from qgfit import qgaussian
 from qgfit.qgaussian import (
     QGaussianParams,
@@ -138,6 +139,15 @@ class TestNormalization:
         p = QGaussianParams(1.53, 1.78)
         val, _ = integrate.quad(lambda t: pdf(p, t), -np.inf, np.inf, limit=400)
         assert val == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("q, beta", [(1.1, 0.5), (1.3, 1.0), (1.5, 3.0)])
+    def test_variance_matches_quadrature_oracle(self, q, beta):
+        # Var = 1/(beta(5-3q)) below q = 5/3, where the second moment is finite
+        variance = float(oracles.qgaussian_variance(q, beta))
+        assert variance == pytest.approx(1.0 / (beta * (5.0 - 3.0 * q)), rel=1e-11)
+        p = QGaussianParams(q, beta)
+        half, _ = integrate.quad(lambda t: t * t * pdf(p, t), 0.0, np.inf, limit=400)
+        assert 2.0 * half == pytest.approx(variance, rel=1e-10)
 
     @pytest.mark.parametrize("q", [1.1, 1.35, 1.53, 2.0, 2.5])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1.78])

@@ -67,6 +67,8 @@ class TestLogReturns:
     def test_dt_too_large(self):
         with pytest.raises(ValueError):
             log_returns(series_from_values([1.0, 2.0, 3.0]), dt=3)
+        with pytest.raises(ValueError, match="dt must be a positive integer, got 0"):
+            log_returns(series_from_values([1.0, 2.0, 3.0]), dt=0)
 
     def test_rejects_nonpositive_prices(self):
         with pytest.raises(ValueError):
@@ -163,6 +165,13 @@ class TestPriceSeriesInput:
             with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
                 delattr(s, name)
             assert s.timestamps.tolist() == ticks
+
+    def test_log_values_are_read_only(self):
+        for ticks in ([0, 1, 2], [0, 1, 3]):  # unbroken and gapped
+            s = PriceSeries(timestamps=ticks, prices=[1.0, 2.0, 4.0])
+            with pytest.raises(ValueError, match="read-only"):
+                s.log_values[:] = 0.0
+            assert s.log_values.tolist() == np.log([1.0, 2.0, 4.0]).tolist()
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -305,6 +314,9 @@ class TestPool:
     def test_empty(self):
         with pytest.raises(ValueError):
             pool([])
+        # nor is an empty sample a curve
+        with pytest.raises(ValueError, match="cannot build a CCDF from an empty sample"):
+            empirical_ccdf(np.array([]), dt=1)
 
 
 class TestEmpiricalCcdf:
@@ -343,16 +355,17 @@ class TestEmpiricalCcdf:
         assert np.all(np.diff(ccdf.probabilities) <= 0.0)
 
     @pytest.mark.parametrize(
-        "x,p",
+        "x,p,message",
         [
-            ([1.0, 2.0, np.inf], [0.5, 0.25, 0.1]),
-            ([np.nan, 2.0, 3.0], [0.5, 0.25, 0.1]),
-            ([1.0, 2.0, 3.0], [0.5, np.nan, 0.1]),
+            ([1.0, 2.0, np.inf], [0.5, 0.25, 0.1], "must be finite"),
+            ([np.nan, 2.0, 3.0], [0.5, 0.25, 0.1], "must be finite"),
+            ([1.0, 2.0, 3.0], [0.5, np.nan, 0.1], "must be finite"),
+            ([1.0, 2.0], [0.5, 0.25, 0.1], "must have equal length"),
         ],
-        ids=["inf_threshold", "nan_threshold", "nan_probability"],
+        ids=["inf_threshold", "nan_threshold", "nan_probability", "unequal_length"],
     )
-    def test_rejects_non_finite(self, x, p):
-        with pytest.raises(ValueError, match="must be finite"):
+    def test_rejects_non_finite(self, x, p, message):
+        with pytest.raises(ValueError, match=message):
             EmpiricalCCDF(dt=1, thresholds=x, probabilities=p, n_samples=0)
 
     def test_invalid_grid(self):

@@ -61,12 +61,17 @@ class TestHyp2F1:
     def test_rejects_positive_z(self):
         with pytest.raises(ValueError):
             hyp2f1(1.0, 0.25)
+        for z in (0.25, 0.0, [-1.0, 0.0]):  # the remainder's domain ends short of z = 0
+            with pytest.raises(ValueError, match="tail remainder requires z < 0"):
+                hyp2f1_tail_remainder(1.0, z)
 
     @pytest.mark.parametrize("z", [-1e-3, -0.25])
     def test_rejects_non_family(self, z):
         # the CDF family needs b > 1/2
         with pytest.raises(ValueError):
             hyp2f1(0.25, z)
+        with pytest.raises(ValueError, match="tail remainder requires b > 1/2, got b=0.25"):
+            hyp2f1_tail_remainder(0.25, z)
 
     def test_array_equals_scalar_calls(self):
         zs = np.array([0.0, -1e-6, -0.3, -4.0, -1e4])
