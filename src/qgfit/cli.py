@@ -368,12 +368,7 @@ def cmd_scaling(args: argparse.Namespace, stage: Path) -> str:
     payload = {}
     for key, _, plot, x, y in _SCALING_LAWS:
         p, xs, ys = getattr(report, key), report.columns[x], report.columns[y]
-        payload[key] = {
-            "exponent": p.exponent,
-            "amplitude": p.amplitude,
-            "stderr": p.exponent_stderr,
-            "r_squared": p.r_squared,
-        }
+        payload[key] = asdict(p)
         # the line is in range at xs: the report checked
         _write_rows(stage / f"{plot}.csv", [x, y, "fitted"], "%r,%r,%r", xs, ys, p.fitted(xs))
     _write_json(stage / "scaling.json", payload)

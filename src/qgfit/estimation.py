@@ -115,13 +115,13 @@ class PowerLawFit:
 
     exponent: float
     amplitude: float
-    exponent_stderr: float
+    stderr: float  # of the exponent
     r_squared: float
 
     def __post_init__(self):
         if self.amplitude <= 0.0:
             raise ValueError("amplitude must be positive")
-        if self.exponent_stderr < 0.0:
+        if self.stderr < 0.0:
             raise ValueError("standard error cannot be negative")
 
     def fitted(self, xs) -> list[float]:
@@ -302,7 +302,7 @@ def fit_power_law(xs, ys) -> PowerLawFit:
     fit = PowerLawFit(
         exponent=slope,
         amplitude=amplitude,
-        exponent_stderr=stderr,
+        stderr=stderr,
         r_squared=min(max(r2, 0.0), 1.0),
     )
     fit.fitted(xs)  # its line at the data, which raises past float64's range

@@ -64,9 +64,9 @@ class PriceSeries:
     here for every dt that follows; the prices themselves are not kept.  The
     grid is unbroken when its ticks run first, first + 1, ... without a hole:
     then only the first tick is kept, and a series holds 8 bytes per tick.
-    The ticks of a gapped grid are kept as a contiguous int64 array, copied
-    unless they are one already, so it holds 16 bytes per tick.  Neither
-    keeps a view into its input.  A series and its log values are immutable.
+    The ticks of a gapped grid are kept as an int64 copy, so it holds 16
+    bytes per tick.  Neither keeps a view into its input.  A series, its log
+    values and its kept ticks are immutable.
     """
 
     log_values: np.ndarray
@@ -94,13 +94,13 @@ class PriceSeries:
             raise ValueError("prices must be positive (log returns are taken)")
         first = int(ticks[0])
         unbroken = int(ticks[-1]) - first == len(ticks) - 1
-        # read_price_csv passes a field of loadtxt's records: a gapped grid's
-        # copy lets them go, and an unbroken grid keeps nothing of them
-        gapped = None if unbroken else np.ascontiguousarray(ticks, dtype=np.int64)
+        gapped = None if unbroken else np.array(ticks, dtype=np.int64)
         object.__setattr__(self, "_first_tick", first)
         object.__setattr__(self, "_gapped_ticks", gapped)
         object.__setattr__(self, "log_values", np.log(prices))
         self.log_values.flags.writeable = False  # every dt's returns are taken from it
+        if gapped is not None:
+            gapped.flags.writeable = False
 
     @property
     def timestamps(self) -> np.ndarray:
@@ -115,7 +115,11 @@ class PriceSeries:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalCCDF:
-    """Exceedance probabilities P(|r| > x_i) on an increasing threshold grid."""
+    """Exceedance probabilities P(|r| > x_i) on an increasing threshold grid.
+
+    Both arrays are read-only float copies of the caller's, so the checks
+    made here hold for the record's whole life.
+    """
 
     dt: int
     thresholds: np.ndarray
@@ -123,8 +127,9 @@ class EmpiricalCCDF:
     n_samples: int
 
     def __post_init__(self):
-        object.__setattr__(self, "thresholds", np.asarray(self.thresholds, dtype=float))
-        object.__setattr__(self, "probabilities", np.asarray(self.probabilities, dtype=float))
+        for name in ("thresholds", "probabilities"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+            getattr(self, name).flags.writeable = False
         if len(self.thresholds) != len(self.probabilities):
             raise ValueError("thresholds and probabilities must have equal length")
         if not (np.all(np.isfinite(self.thresholds)) and np.all(np.isfinite(self.probabilities))):

@@ -194,7 +194,7 @@ def test_criterion_8_full_pipeline_property():
     for name in ("tau_fit", "gamma_fit", "delta_fit"):
         rec = getattr(recovered, name)
         gen = getattr(generating, name)
-        band = 2.0 * math.hypot(rec.exponent_stderr, gen.exponent_stderr)
+        band = 2.0 * math.hypot(rec.stderr, gen.stderr)
         inside = abs(rec.exponent - gen.exponent) <= band
         bands_ok &= inside
         details.append(f"{name} |diff|={abs(rec.exponent - gen.exponent):.4f}<={band:.4f}")

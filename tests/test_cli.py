@@ -609,7 +609,7 @@ class TestScaling:
             assert report[key] == {
                 "exponent": line.exponent,
                 "amplitude": line.amplitude,
-                "stderr": line.exponent_stderr,
+                "stderr": line.stderr,
                 "r_squared": line.r_squared,
             }
             assert fitted == line.fitted(x)

@@ -291,7 +291,7 @@ class TestFitPowerLaw:
         fit = fit_power_law(xs, [3.0 * x**2 for x in xs])
         assert fit.exponent == pytest.approx(2.0, abs=1e-12)
         assert fit.amplitude == pytest.approx(3.0, rel=1e-12)
-        assert fit.exponent_stderr == pytest.approx(0.0, abs=1e-12)
+        assert fit.stderr == pytest.approx(0.0, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_bundled_q_ladder(self):
@@ -310,9 +310,9 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
         with pytest.raises(ValueError, match="amplitude must be positive"):
-            PowerLawFit(exponent=1.0, amplitude=0.0, exponent_stderr=0.0, r_squared=1.0)
+            PowerLawFit(exponent=1.0, amplitude=0.0, stderr=0.0, r_squared=1.0)
         with pytest.raises(ValueError, match="standard error cannot be negative"):
-            PowerLawFit(exponent=1.0, amplitude=1.0, exponent_stderr=-1.0, r_squared=1.0)
+            PowerLawFit(exponent=1.0, amplitude=1.0, stderr=-1.0, r_squared=1.0)
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
@@ -330,7 +330,7 @@ class TestFitPowerLaw:
     def test_line_past_float64_is_rejected(self, x, exponent):
         # x^exponent overflows, underflows to 0, or overflows with the amplitude;
         # inf lies in the line's domain, and its line goes to inf or to 0
-        fit = PowerLawFit(exponent=exponent, amplitude=1e300, exponent_stderr=0.0, r_squared=1.0)
+        fit = PowerLawFit(exponent=exponent, amplitude=1e300, stderr=0.0, r_squared=1.0)
         assert fit.fitted([1.0]) == [1e300]
         with pytest.raises(ValueError, match=f"leaves float64's range at x={x!r}"):
             fit.fitted([1.0, x])
@@ -338,7 +338,7 @@ class TestFitPowerLaw:
     def test_line_past_float64_names_first_x_outside(self):
         # 1e4 and 1e5 both overflow and 2.0 does not: the error names 1e4,
         # neither the first x nor the largest
-        fit = PowerLawFit(exponent=80.0, amplitude=1.0, exponent_stderr=0.0, r_squared=1.0)
+        fit = PowerLawFit(exponent=80.0, amplitude=1.0, stderr=0.0, r_squared=1.0)
         with pytest.raises(ValueError, match=r"leaves float64's range at x=10000\.0$"):
             fit.fitted([1.0, 3.0, 1e4, 2.0, 1e5])
 
@@ -346,13 +346,13 @@ class TestFitPowerLaw:
     @pytest.mark.parametrize("x", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
     def test_line_outside_domain_names_x(self, x, exponent):
         # checked before any power is taken: no warning, and not blamed on float64's range
-        fit = PowerLawFit(exponent=exponent, amplitude=2.0, exponent_stderr=0.0, r_squared=1.0)
+        fit = PowerLawFit(exponent=exponent, amplitude=2.0, stderr=0.0, r_squared=1.0)
         with pytest.raises(ValueError, match=rf"^the fitted line needs x > 0, got x={x!r}$"):
             fit.fitted([x])
 
     def test_line_outside_domain_names_first_x_outside(self):
         # -2.0 and nan are both outside and 1.0 is not: the error names -2.0
-        fit = PowerLawFit(exponent=2.0, amplitude=2.0, exponent_stderr=0.0, r_squared=1.0)
+        fit = PowerLawFit(exponent=2.0, amplitude=2.0, stderr=0.0, r_squared=1.0)
         with pytest.raises(ValueError, match=r"^the fitted line needs x > 0, got x=-2\.0$"):
             fit.fitted([1.0, 3.0, -2.0, 1.0, math.nan, 0.0])
 
@@ -364,7 +364,7 @@ class TestFitPowerLaw:
     )
     def test_fitted_matches_scalar_power_within_2_ulp(self, amplitude, exponent, xs):
         # the line within 1e-130..1e130, far inside float64's range
-        fit = PowerLawFit(exponent, amplitude, exponent_stderr=0.0, r_squared=1.0)
+        fit = PowerLawFit(exponent, amplitude, stderr=0.0, r_squared=1.0)
         values = fit.fitted(xs)
         assert all(type(value) is float for value in values)
         expected = [amplitude * x**exponent for x in xs]
@@ -400,16 +400,14 @@ class TestScalingReport:
         ]
         report = scaling_report(rows)
         assert report.tau_fit.exponent == pytest.approx(-0.081, abs=1e-10)
-        assert report.tau_fit.exponent_stderr == pytest.approx(0.0, abs=1e-10)
+        assert report.tau_fit.stderr == pytest.approx(0.0, abs=1e-10)
 
     def test_chain_rule_consistency(self):
         # the beta-vs-q exponent is the ratio of the two dt exponents up to
         # regression noise
         report = scaling_report(TABLE1_FITS)
         ratio = abs(report.gamma_fit.exponent / report.tau_fit.exponent)
-        combined = report.delta_fit.exponent_stderr + abs(
-            report.gamma_fit.exponent_stderr / report.tau_fit.exponent
-        )
+        combined = report.delta_fit.stderr + abs(report.gamma_fit.stderr / report.tau_fit.exponent)
         assert abs(abs(report.delta_fit.exponent) - ratio) <= combined
 
     def test_needs_three_scales(self):

@@ -145,10 +145,13 @@ class TestPriceSeriesInput:
         with pytest.raises(ValueError, match=f"^{message}$"):
             PriceSeries(timestamps=timestamps, prices=prices)
 
-    def test_contiguous_int64_ticks_kept_as_given(self):
-        # a gapped grid keeps its ticks; an unbroken one keeps none
-        ticks = np.array([0, 1, 3], dtype=np.int64)
-        assert PriceSeries(timestamps=ticks, prices=[1.0, 2.0, 3.0]).timestamps is ticks
+    def test_contiguous_int64_ticks_copied(self):
+        # a gapped grid keeps its own ticks: the caller's stay theirs to write
+        ticks = np.array([0, 1, 3, 4], dtype=np.int64)
+        s = PriceSeries(timestamps=ticks, prices=[1.0, 2.0, 4.0, 8.0])
+        assert s.timestamps is not ticks and ticks.flags.writeable
+        ticks[:] = [0, 10, 20, 30]
+        assert log_returns(s, 1).tolist() == pytest.approx([math.log(2.0)] * 2)
 
     def test_strided_ticks_copied_out(self):
         records = np.array([(0, 1.0), (1, 2.0)], dtype=[("timestamp", np.int64), ("price", float)])
@@ -172,6 +175,57 @@ class TestPriceSeriesInput:
             with pytest.raises(ValueError, match="read-only"):
                 s.log_values[:] = 0.0
             assert s.log_values.tolist() == np.log([1.0, 2.0, 4.0]).tolist()
+
+
+def _ccdf(thresholds, probabilities):
+    return EmpiricalCCDF(dt=1, thresholds=thresholds, probabilities=probabilities, n_samples=10)
+
+
+@pytest.mark.parametrize(
+    ("make", "first", "second", "names"),
+    [
+        pytest.param(
+            PriceSeries,
+            np.arange(3, dtype=np.int64),
+            np.array([1.0, 2.0, 4.0]),
+            ["log_values"],
+            id="unbroken_series",
+        ),
+        pytest.param(
+            PriceSeries,
+            np.array([0, 1, 3], dtype=np.int64),
+            np.array([1.0, 2.0, 4.0]),
+            ["timestamps", "log_values"],
+            id="gapped_series",
+        ),
+        pytest.param(
+            _ccdf,
+            np.array([0.1, 0.2, 0.4]),
+            np.array([0.9, 0.5, 0.1]),
+            ["thresholds", "probabilities"],
+            id="ccdf_arrays",
+        ),
+        # as read_ccdf_csv builds a curve from a JSON file's lists
+        pytest.param(
+            _ccdf,
+            [0.1, 0.2, 0.4],
+            [0.9, 0.5, 0.1],
+            ["thresholds", "probabilities"],
+            id="ccdf_lists",
+        ),
+    ],
+)
+def test_record_arrays_are_read_only_copies(make, first, second, names):
+    """A record's checks hold for its life: no one can write into the arrays it holds."""
+    record = make(first, second)
+    for name in names:
+        held = getattr(record, name)
+        assert not held.flags.writeable, name
+        assert not any(np.shares_memory(held, given) for given in (first, second)), name
+        before = held.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            held[:] = -1.0
+        assert held.tolist() == before, name
 
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
